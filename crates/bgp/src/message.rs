@@ -178,38 +178,19 @@ impl RouteInfo {
         prices.get(pos).copied()
     }
 
-    /// Compresses `next` into a [`RouteInfo::PriceDelta`] against `prev`
-    /// when only price entries changed: both must be reachable over the
-    /// *same* path (shared-handle or content equality) with the same path
-    /// cost and price-array length, and at least one price cell must
-    /// differ. Returns `None` whenever a full advertisement is required —
-    /// the caller falls back to sending `next` as-is.
-    pub fn delta_from(prev: &RouteInfo, next: &RouteInfo) -> Option<RouteInfo> {
-        let (
-            RouteInfo::Reachable {
-                path: prev_path,
-                path_cost: prev_cost,
-                prices: prev_prices,
-            },
-            RouteInfo::Reachable {
-                path: next_path,
-                path_cost: next_cost,
-                prices: next_prices,
-            },
-        ) = (prev, next)
-        else {
-            return None;
-        };
-        if prev_path != next_path
-            || prev_cost != next_cost
-            || prev_prices.len() != next_prices.len()
-            || next_prices.len() > usize::from(u16::MAX)
-        {
+    /// Compresses a price-only change into a [`RouteInfo::PriceDelta`]:
+    /// `prev` and `next` are the previously advertised and the current
+    /// price arrays of one unchanged `path` (the caller has checked that
+    /// path and path cost are the same). Returns `None` whenever a full
+    /// advertisement is required instead — the arrays differ in length or
+    /// are too long for `u16` indices — or nothing changed.
+    pub fn price_delta(path: &SharedPath, prev: &[Cost], next: &[Cost]) -> Option<RouteInfo> {
+        if prev.len() != next.len() || next.len() > usize::from(u16::MAX) {
             return None;
         }
-        let entries: Vec<(u16, Cost)> = prev_prices
+        let entries: Vec<(u16, Cost)> = prev
             .iter()
-            .zip(next_prices)
+            .zip(next)
             .enumerate()
             .filter(|(_, (old, new))| old != new)
             .map(|(idx, (_, new))| (idx as u16, *new))
@@ -218,7 +199,7 @@ impl RouteInfo {
             return None;
         }
         Some(RouteInfo::PriceDelta {
-            base_path_hash: next_path.hash64(),
+            base_path_hash: path.hash64(),
             entries,
         })
     }
@@ -449,20 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_from_compresses_price_only_changes() {
-        let prev = reachable();
-        let RouteInfo::Reachable {
-            path, path_cost, ..
-        } = prev.clone()
-        else {
-            unreachable!()
-        };
-        let next = RouteInfo::Reachable {
-            path: path.clone(),
-            path_cost,
-            prices: vec![Cost::new(4), Cost::new(2)],
-        };
-        let delta = RouteInfo::delta_from(&prev, &next).expect("one price cell relaxed");
+    fn price_delta_lists_the_changed_cells() {
+        let path: SharedPath = vec![entry(0, 2), entry(3, 1), entry(4, 1), entry(2, 4)].into();
+        let prev = [Cost::new(4), Cost::new(3)];
+        let delta = RouteInfo::price_delta(&path, &prev, &[Cost::new(4), Cost::new(2)])
+            .expect("one price cell relaxed");
         assert_eq!(
             delta,
             RouteInfo::PriceDelta {
@@ -470,23 +442,10 @@ mod tests {
                 entries: vec![(1, Cost::new(2))],
             }
         );
-    }
-
-    #[test]
-    fn delta_from_requires_identical_route_shape() {
-        let prev = reachable();
-        // Unchanged info: nothing to send as a delta.
-        assert_eq!(RouteInfo::delta_from(&prev, &prev.clone()), None);
-        // Path changed: full advertisement required.
-        let rerouted = RouteInfo::Reachable {
-            path: vec![entry(0, 2), entry(5, 1), entry(2, 4)].into(),
-            path_cost: Cost::new(1),
-            prices: vec![Cost::new(3)],
-        };
-        assert_eq!(RouteInfo::delta_from(&prev, &rerouted), None);
-        // Withdrawals never compress.
-        assert_eq!(RouteInfo::delta_from(&prev, &RouteInfo::Withdrawn), None);
-        assert_eq!(RouteInfo::delta_from(&RouteInfo::Withdrawn, &prev), None);
+        // Unchanged prices: nothing to send as a delta.
+        assert_eq!(RouteInfo::price_delta(&path, &prev, &prev), None);
+        // A different array length needs the full advertisement.
+        assert_eq!(RouteInfo::price_delta(&path, &prev, &[Cost::new(1)]), None);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::dynamics::LocalEvent;
 use crate::message::{RouteAdvertisement, RouteInfo, Update};
-use crate::selector::RouteSelector;
+use crate::selector::{DirtyDests, RouteSelector, SelectedRoute};
 use crate::stats::StateSnapshot;
-use bgpvcg_netgraph::{AsGraph, AsId};
-use std::collections::{BTreeMap, BTreeSet};
+use bgpvcg_netgraph::{AsGraph, AsId, Cost};
 use std::sync::Arc;
 
 /// The behaviour an AS must implement to be driven by either engine.
@@ -55,6 +54,99 @@ pub trait ProtocolNode: Send {
     fn configure_delta_encoding(&mut self, _on: bool) {}
 }
 
+/// The adj-RIB-out: what a node last advertised per destination, for
+/// change suppression ("routing-table exchanges only occur when a change
+/// is detected").
+///
+/// Destination-indexed; each entry always holds the *full* route state —
+/// when a compressed [`RouteInfo::PriceDelta`] goes out on the wire, the
+/// entry records the reassembled `Reachable` it stands for. A withdrawal
+/// and "never advertised" are the same empty entry: silence means the same
+/// thing as an initial withdrawal and costs nothing.
+#[derive(Debug, Clone)]
+pub struct AdjRibOut {
+    node_count: usize,
+    sent: Vec<Option<RouteInfo>>,
+    /// Whether change advertisements may be compressed to
+    /// [`RouteInfo::PriceDelta`] when only price entries moved on an
+    /// unchanged path (the monotone-relaxation common case of Sect. 6).
+    delta_encoding: bool,
+}
+
+impl AdjRibOut {
+    /// An empty adj-RIB-out for a network of `node_count` ASes, with delta
+    /// encoding on. Allocates nothing until the first advertisement.
+    pub fn new(node_count: usize) -> Self {
+        AdjRibOut {
+            node_count,
+            sent: Vec::new(),
+            delta_encoding: true,
+        }
+    }
+
+    /// Enables or disables [`RouteInfo::PriceDelta`] compression.
+    pub fn set_delta_encoding(&mut self, on: bool) {
+        self.delta_encoding = on;
+    }
+
+    /// Forgets everything advertised (crash/restart).
+    pub fn clear(&mut self) {
+        self.sent.clear();
+    }
+
+    /// Compares `dest`'s current state — its selected route (if any) with
+    /// the price entries aligned to its transit nodes — against what was
+    /// last advertised. Returns the wire form announcing the change and
+    /// records the new state, or `None` when nothing changed. The
+    /// comparison runs on borrowed state; an advertisement is built only
+    /// for an actual change.
+    pub fn advertise(
+        &mut self,
+        dest: AsId,
+        route: Option<&SelectedRoute>,
+        prices: &[Cost],
+    ) -> Option<RouteInfo> {
+        if route.is_some() && self.sent.len() < self.node_count {
+            self.sent.resize_with(self.node_count, || None);
+        }
+        let entry = self.sent.get_mut(dest.index());
+        let (Some(entry), Some(route)) = (entry, route) else {
+            // No route now: withdraw whatever was advertised before.
+            return self
+                .sent
+                .get_mut(dest.index())
+                .and_then(Option::take)
+                .map(|_| RouteInfo::Withdrawn);
+        };
+        if let Some(RouteInfo::Reachable {
+            path,
+            path_cost,
+            prices: sent_prices,
+        }) = entry
+        {
+            if *path == route.path && *path_cost == route.cost {
+                if sent_prices[..] == *prices {
+                    return None;
+                }
+                // Only price entries moved on an unchanged path: send a
+                // compressed delta against the previous advertisement; the
+                // receiver patches its retained copy.
+                let delta = self
+                    .delta_encoding
+                    .then(|| RouteInfo::price_delta(&route.path, sent_prices, prices))
+                    .flatten();
+                if let Some(delta) = delta {
+                    sent_prices.copy_from_slice(prices);
+                    return Some(delta);
+                }
+            }
+        }
+        let info = route.advertisement(prices);
+        *entry = Some(info.clone());
+        Some(info)
+    }
+}
+
 /// A plain lowest-cost-path BGP speaker: route selection and advertisement,
 /// no prices. This is the baseline protocol the paper extends; experiments
 /// E5/E6 compare its state and traffic against the pricing extension.
@@ -73,15 +165,11 @@ pub trait ProtocolNode: Send {
 pub struct PlainBgpNode {
     selector: RouteSelector,
     /// What we last advertised per destination, so we only send changes.
-    /// Always holds the *full* route state — when a compressed
-    /// [`RouteInfo::PriceDelta`] goes out on the wire, this map still
-    /// records the reassembled `Reachable` it stands for.
-    advertised: BTreeMap<AsId, RouteInfo>,
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only prices moved. On by default;
-    /// plain BGP carries no prices, so the flag is inert here and exists
+    /// Plain BGP carries no prices, so its delta switch is inert and exists
     /// for API symmetry with the pricing node.
-    delta_encoding: bool,
+    rib_out: AdjRibOut,
+    /// Per-inbox scratch: touched destinations and their causes.
+    dirty: DirtyDests,
 }
 
 impl PlainBgpNode {
@@ -91,10 +179,16 @@ impl PlainBgpNode {
     ///
     /// Panics if `id` is not in the graph.
     pub fn new(graph: &AsGraph, id: AsId) -> Self {
+        let n = graph.node_count();
         PlainBgpNode {
-            selector: RouteSelector::new(id, graph.cost(id), graph.neighbors(id).iter().copied()),
-            advertised: BTreeMap::new(),
-            delta_encoding: true,
+            selector: RouteSelector::new(
+                id,
+                graph.cost(id),
+                n,
+                graph.neighbors(id).iter().copied(),
+            ),
+            rib_out: AdjRibOut::new(n),
+            dirty: DirtyDests::default(),
         }
     }
 
@@ -102,7 +196,7 @@ impl PlainBgpNode {
     /// advertisements (on by default). The delta-stream equivalence
     /// proptests run both settings and assert identical fixpoints.
     pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
+        self.rib_out.set_delta_encoding(on);
     }
 
     /// Creates one node per AS of the graph, in AS order — ready to hand to
@@ -119,68 +213,33 @@ impl PlainBgpNode {
         &self.selector
     }
 
-    /// The advertisement for one destination reflecting current state:
-    /// reachable with the selected path, or withdrawn.
-    fn advertisement_for(&self, dest: AsId) -> RouteInfo {
-        match self.selector.selected(dest) {
-            Some(route) => RouteInfo::Reachable {
-                path: route.path.clone(),
-                path_cost: route.cost,
-                prices: Vec::new(),
-            },
-            None => RouteInfo::Withdrawn,
-        }
-    }
-
-    /// Builds the outgoing update for the given destinations, comparing
-    /// against what was last advertised; records what is sent. Environment
-    /// paths (start, local events) pass no cause map, so every entry's
-    /// provenance stays cause 0.
-    fn emit(&mut self, dests: impl IntoIterator<Item = AsId>) -> Option<Update> {
-        self.emit_caused(dests, &BTreeMap::new())
-    }
-
-    /// [`emit`](Self::emit) with provenance: `causes` maps each destination
-    /// to the [`Update::id`] of the inbound update that made it change, and
-    /// the emitted update's `causes` vector is built in lockstep with its
-    /// advertisements.
-    fn emit_caused(
+    /// Builds the outgoing update for the given destinations (ascending),
+    /// comparing against what was last advertised; records what is sent.
+    /// `cause` names, per destination, the [`Update::id`] of the inbound
+    /// update that made it change (0 = environment: start, local events),
+    /// and the emitted update's `causes` vector is built in lockstep with
+    /// its advertisements.
+    fn emit(
         &mut self,
         dests: impl IntoIterator<Item = AsId>,
-        causes: &BTreeMap<AsId, u64>,
+        cause: impl Fn(AsId) -> u64,
     ) -> Option<Update> {
         let mut ads = Vec::new();
-        let mut ad_causes = Vec::new();
+        let mut causes = Vec::new();
         for dest in dests {
-            let info = self.advertisement_for(dest);
-            let changed = match self.advertised.get(&dest) {
-                Some(prev) => *prev != info,
-                // Never advertise an initial withdrawal: silence means the
-                // same thing and costs nothing.
-                None => !matches!(info, RouteInfo::Withdrawn),
-            };
-            if changed {
-                // When only price entries moved on an unchanged path (the
-                // monotone-relaxation common case), send a compressed delta
-                // against the previously advertised route; the receiver
-                // patches its retained copy. `advertised` always records
-                // the full state the wire form stands for.
-                let wire_info = self
-                    .advertised
-                    .get(&dest)
-                    .filter(|_| self.delta_encoding)
-                    .and_then(|prev| RouteInfo::delta_from(prev, &info))
-                    .unwrap_or_else(|| info.clone());
-                self.advertised.insert(dest, info);
+            if let Some(info) = self
+                .rib_out
+                .advertise(dest, self.selector.selected(dest), &[])
+            {
                 ads.push(RouteAdvertisement {
                     destination: dest,
-                    info: wire_info,
+                    info,
                 });
-                ad_causes.push(causes.get(&dest).copied().unwrap_or(0));
+                causes.push(cause(dest));
             }
         }
         let mut update = Update::if_nonempty(self.selector.id(), ads)?;
-        update.causes = ad_causes;
+        update.causes = causes;
         Some(update)
     }
 }
@@ -195,34 +254,24 @@ impl ProtocolNode for PlainBgpNode {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.emit([self.selector.id()])
+        self.emit([self.selector.id()], |_| 0)
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut affected: BTreeSet<AsId> = BTreeSet::new();
-        // Provenance: each affected destination is attributed to the last
-        // inbound update (in inbox order) whose ingestion touched it.
-        let mut causes: BTreeMap<AsId, u64> = BTreeMap::new();
-        for update in updates {
-            for dest in self.selector.ingest(update) {
-                causes.insert(dest, update.id);
-                affected.insert(dest);
-            }
-        }
-        let mut changed = BTreeSet::new();
-        for dest in affected {
-            if self.selector.decide(dest) {
-                changed.insert(dest);
-            }
-        }
-        self.emit_caused(changed, &causes)
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.ingest(&mut self.selector, updates);
+        dirty.retain(|dest| self.selector.decide(dest));
+        let out = self.emit(dirty.dests().iter().copied(), |dest| dirty.cause(dest));
+        self.dirty = dirty;
+        out
     }
 
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
         match event {
             LocalEvent::LinkDown(neighbor) => {
-                let changed = self.selector.link_down(neighbor);
-                self.emit(changed)
+                let covered = self.selector.link_down(neighbor);
+                let changed = covered.iter().filter(|(_, changed)| *changed);
+                self.emit(changed.map(|&(dest, _)| dest), |_| 0)
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -233,7 +282,7 @@ impl ProtocolNode for PlainBgpNode {
                 // are re-advertised — `set_declared_cost` reports them, and a
                 // no-op change (same cost) reports none.
                 let changed = self.selector.set_declared_cost(cost);
-                self.emit(changed)
+                self.emit(changed, |_| 0)
             }
         }
     }
@@ -242,9 +291,11 @@ impl ProtocolNode for PlainBgpNode {
         let ads: Vec<RouteAdvertisement> = self
             .selector
             .destinations()
-            .map(|dest| RouteAdvertisement {
-                destination: dest,
-                info: self.advertisement_for(dest),
+            .filter_map(|dest| {
+                Some(RouteAdvertisement {
+                    destination: dest,
+                    info: self.selector.selected(dest)?.advertisement(&[]),
+                })
             })
             .collect();
         Update::if_nonempty(self.selector.id(), ads)
@@ -252,27 +303,11 @@ impl ProtocolNode for PlainBgpNode {
 
     fn reset(&mut self) {
         self.selector.reset();
-        self.advertised.clear();
+        self.rib_out.clear();
     }
 
     fn state(&self) -> StateSnapshot {
-        let mut snapshot = StateSnapshot::default();
-        for dest in self.selector.destinations() {
-            if let Some(route) = self.selector.selected(dest) {
-                snapshot.table_entries += 1;
-                snapshot.table_path_nodes += route.path.len();
-            }
-        }
-        let neighbors: Vec<AsId> = self.selector.neighbors().collect();
-        for a in neighbors {
-            for dest in self.selector.destinations().collect::<Vec<_>>() {
-                if let Some(info) = self.selector.rib(a, dest) {
-                    snapshot.rib_entries += 1;
-                    snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
-                }
-            }
-        }
-        snapshot
+        self.selector.state()
     }
 }
 
@@ -280,7 +315,6 @@ impl ProtocolNode for PlainBgpNode {
 mod tests {
     use super::*;
     use bgpvcg_netgraph::generators::structured::{fig1, Fig1};
-    use bgpvcg_netgraph::Cost;
 
     #[test]
     fn start_advertises_origin_only() {
@@ -381,6 +415,47 @@ mod tests {
         assert_eq!(d.selector().route_cost(Fig1::Z), Cost::INFINITE);
         assert!(d.start().is_some(), "restart re-advertises the origin");
         assert!(d.handle(&[z_origin]).is_some());
+    }
+
+    #[test]
+    fn adj_rib_out_suppresses_compresses_and_withdraws() {
+        use crate::message::PathEntry;
+        let entry = |node, cost| PathEntry {
+            node: AsId::new(node),
+            cost: Cost::new(cost),
+        };
+        let route = SelectedRoute {
+            path: vec![entry(0, 1), entry(4, 2), entry(3, 1), entry(2, 0)].into(),
+            cost: Cost::new(3),
+        };
+        let dest = AsId::new(2);
+        let mut out = AdjRibOut::new(5);
+        // Nothing advertised yet and no route: silence.
+        assert_eq!(out.advertise(dest, None, &[]), None);
+        let first = [Cost::new(9), Cost::new(8)];
+        assert_eq!(
+            out.advertise(dest, Some(&route), &first),
+            Some(route.advertisement(&first))
+        );
+        assert_eq!(out.advertise(dest, Some(&route), &first), None, "unchanged");
+        let relaxed = [Cost::new(9), Cost::new(5)];
+        assert_eq!(
+            out.advertise(dest, Some(&route), &relaxed),
+            Some(RouteInfo::PriceDelta {
+                base_path_hash: route.path.hash64(),
+                entries: vec![(1, Cost::new(5))],
+            })
+        );
+        // The delta was recorded as the full state it stands for.
+        assert_eq!(out.advertise(dest, Some(&route), &relaxed), None);
+        out.set_delta_encoding(false);
+        assert_eq!(
+            out.advertise(dest, Some(&route), &first),
+            Some(route.advertisement(&first)),
+            "delta encoding off sends full advertisements"
+        );
+        assert_eq!(out.advertise(dest, None, &[]), Some(RouteInfo::Withdrawn));
+        assert_eq!(out.advertise(dest, None, &[]), None, "withdrawn once");
     }
 
     #[test]

@@ -24,10 +24,11 @@ use crate::errors::MechanismError;
 use crate::outcome::{PairOutcome, RoutingOutcome};
 use bgpvcg_bgp::engine::{RunReport, SyncEngine};
 use bgpvcg_bgp::{
-    LocalEvent, ProtocolNode, RouteAdvertisement, RouteInfo, RouteSelector, StateSnapshot, Update,
+    AdjRibOut, DirtyDests, LocalEvent, ProtocolNode, RouteAdvertisement, RouteInfo, RouteSelector,
+    StateSnapshot, Update,
 };
 use bgpvcg_netgraph::{AsId, Cost};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A BGP speaker computing VCG prices under per-neighbor (receive-side)
@@ -56,14 +57,11 @@ pub struct NcPricingNode {
     /// rationale as the base `PricingBgpNode`).
     margins: BTreeMap<AsId, Vec<Cost>>,
     /// Last advertised state per destination, for change suppression.
-    /// Always holds the *full* route state — when a compressed
-    /// [`RouteInfo::PriceDelta`] goes out on the wire, this map records the
-    /// reassembled `Reachable` it stands for.
-    advertised: BTreeMap<AsId, RouteInfo>,
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only margin entries relaxed on an
-    /// unchanged selected path. On by default.
-    delta_encoding: bool,
+    /// Margin-only movement on an unchanged path compresses to a delta
+    /// exactly like the base model's price relaxation.
+    rib_out: AdjRibOut,
+    /// Per-inbox scratch: touched destinations.
+    dirty: DirtyDests,
 }
 
 impl NcPricingNode {
@@ -77,12 +75,13 @@ impl NcPricingNode {
     ///
     /// Panics if `id` is not in the graph.
     pub fn new(graph: &NeighborCostGraph, id: AsId) -> Self {
+        let n = graph.node_count();
         NcPricingNode {
-            selector: RouteSelector::new(id, Cost::ZERO, graph.neighbors(id).iter().copied()),
+            selector: RouteSelector::new(id, Cost::ZERO, n, graph.neighbors(id).iter().copied()),
             vector: graph.cost_vector(id),
             margins: BTreeMap::new(),
-            advertised: BTreeMap::new(),
-            delta_encoding: true,
+            rib_out: AdjRibOut::new(n),
+            dirty: DirtyDests::default(),
         }
     }
 
@@ -90,7 +89,7 @@ impl NcPricingNode {
     /// advertisements (on by default). The delta-stream equivalence
     /// proptests run both settings and assert identical fixpoints.
     pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
+        self.rib_out.set_delta_encoding(on);
     }
 
     /// One node per AS, in AS order.
@@ -185,38 +184,17 @@ impl NcPricingNode {
         changed
     }
 
-    fn advertisement_for(&self, dest: AsId) -> RouteInfo {
-        match self.selector.selected(dest) {
-            Some(route) => RouteInfo::Reachable {
-                path: route.path.clone(),
-                path_cost: route.cost,
-                prices: self.margins.get(&dest).cloned().unwrap_or_default(),
-            },
-            None => RouteInfo::Withdrawn,
-        }
-    }
-
+    /// Emits changed advertisements for `dests` (ascending), each UPDATE
+    /// carrying this node's receive-cost vector.
     fn emit(&mut self, dests: impl IntoIterator<Item = AsId>) -> Option<Update> {
         let mut ads = Vec::new();
         for dest in dests {
-            let info = self.advertisement_for(dest);
-            let changed = match self.advertised.get(&dest) {
-                Some(prev) => *prev != info,
-                None => !matches!(info, RouteInfo::Withdrawn),
-            };
-            if changed {
-                // Margin-only movement on an unchanged path compresses to a
-                // delta exactly like the base model's price relaxation.
-                let wire_info = self
-                    .advertised
-                    .get(&dest)
-                    .filter(|_| self.delta_encoding)
-                    .and_then(|prev| RouteInfo::delta_from(prev, &info))
-                    .unwrap_or_else(|| info.clone());
-                self.advertised.insert(dest, info);
+            let route = self.selector.selected(dest);
+            let margins = self.margins.get(&dest).map_or(&[][..], Vec::as_slice);
+            if let Some(info) = self.rib_out.advertise(dest, route, margins) {
                 ads.push(RouteAdvertisement {
                     destination: dest,
-                    info: wire_info,
+                    info,
                 });
             }
         }
@@ -239,18 +217,15 @@ impl ProtocolNode for NcPricingNode {
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut affected: BTreeSet<AsId> = BTreeSet::new();
-        for update in updates {
-            affected.extend(self.selector.ingest(update));
-        }
-        let mut out = BTreeSet::new();
-        for &dest in &affected {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.ingest(&mut self.selector, updates);
+        dirty.retain(|dest| {
             let route_changed = self.selector.decide(dest);
-            if self.refresh_margins(dest) || route_changed {
-                out.insert(dest);
-            }
-        }
-        self.emit(out)
+            self.refresh_margins(dest) || route_changed
+        });
+        let out = self.emit(dirty.dests().iter().copied());
+        self.dirty = dirty;
+        out
     }
 
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
@@ -264,15 +239,14 @@ impl ProtocolNode for NcPricingNode {
                 // rib entries for `dest`; a margin refresh recomputes from
                 // scratch off the current Rib-In) — same argument as the
                 // base `PricingBgpNode`.
-                let affected = self.selector.rib_destinations(neighbor);
-                self.selector.link_down(neighbor); // re-decides `affected`
-                                                   // The dead link's entry leaves our declared vector; it is
-                                                   // attached to whatever this emit (and later ones) sends.
+                let covered = self.selector.link_down(neighbor); // re-decides them
+                                                                 // The dead link's entry leaves our declared vector; it is
+                                                                 // attached to whatever this emit (and later ones) sends.
                 self.vector.retain(|&(a, _)| a != neighbor);
-                for &dest in &affected {
+                for &(dest, _) in &covered {
                     self.refresh_margins(dest);
                 }
-                self.emit(affected)
+                self.emit(covered.into_iter().map(|(dest, _)| dest))
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -289,9 +263,12 @@ impl ProtocolNode for NcPricingNode {
         let ads: Vec<RouteAdvertisement> = self
             .selector
             .destinations()
-            .map(|dest| RouteAdvertisement {
-                destination: dest,
-                info: self.advertisement_for(dest),
+            .filter_map(|dest| {
+                let margins = self.margins.get(&dest).map_or(&[][..], Vec::as_slice);
+                Some(RouteAdvertisement {
+                    destination: dest,
+                    info: self.selector.selected(dest)?.advertisement(margins),
+                })
             })
             .collect();
         Update::if_nonempty(self.selector.id(), ads)
@@ -303,26 +280,11 @@ impl ProtocolNode for NcPricingNode {
         // restarted node still charges the same per-neighbor receive costs.
         self.selector.reset();
         self.margins.clear();
-        self.advertised.clear();
+        self.rib_out.clear();
     }
 
     fn state(&self) -> StateSnapshot {
-        let mut snapshot = StateSnapshot::default();
-        for dest in self.selector.destinations() {
-            if let Some(route) = self.selector.selected(dest) {
-                snapshot.table_entries += 1;
-                snapshot.table_path_nodes += route.path.len();
-            }
-        }
-        let neighbors: Vec<AsId> = self.selector.neighbors().collect();
-        for a in neighbors {
-            for dest in self.selector.destinations().collect::<Vec<_>>() {
-                if let Some(info) = self.selector.rib(a, dest) {
-                    snapshot.rib_entries += 1;
-                    snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
-                }
-            }
-        }
+        let mut snapshot = self.selector.state();
         // One margin per transit node of the selected route; a deployable
         // encoding labels each with that node's AS number (one cell each).
         snapshot.price_entries = self.margins.values().map(Vec::len).sum();

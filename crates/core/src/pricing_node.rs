@@ -13,11 +13,10 @@
 //! mechanism deployable as "a straightforward extension to BGP".
 
 use bgpvcg_bgp::{
-    LocalEvent, PathEntry, ProtocolNode, RouteAdvertisement, RouteInfo, RouteSelector,
-    StateSnapshot, Update,
+    AdjRibOut, DirtyDests, LocalEvent, PathEntry, ProtocolNode, RouteAdvertisement, RouteInfo,
+    RouteSelector, StateSnapshot, Update,
 };
 use bgpvcg_netgraph::{AsGraph, AsId, Cost};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A BGP speaker extended with the paper's distributed VCG price
@@ -41,44 +40,53 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct PricingBgpNode {
     selector: RouteSelector,
-    /// Per destination: price entries `p^k_ij`, aligned with the selected
-    /// route's transit nodes. Recomputed from scratch (all `∞`, then one
-    /// relaxation pass over the current Rib-In) on every refresh — the
-    /// realization of the paper's "price computation must start over
-    /// whenever there is a route change"; see [`Self::refresh_prices`].
-    prices: BTreeMap<AsId, Vec<Cost>>,
+    /// Destination-indexed price entries `p^k_ij`, aligned with the
+    /// selected route's transit nodes (empty: no route or no transit
+    /// node). Recomputed from scratch (all `∞`, then one relaxation pass
+    /// over the current Rib-In) on every refresh — the realization of the
+    /// paper's "price computation must start over whenever there is a
+    /// route change"; see [`Self::refresh_prices`].
+    prices: Vec<Vec<Cost>>,
+    /// Relaxation scratch, reused across refreshes.
+    relaxed: Vec<Cost>,
     /// Last advertised state per destination, for change suppression.
-    /// Always holds the *full* route state — when a compressed
-    /// [`RouteInfo::PriceDelta`] goes out on the wire, this map records the
-    /// reassembled `Reachable` it stands for.
-    advertised: BTreeMap<AsId, RouteInfo>,
-    /// Whether change advertisements may be compressed to
-    /// [`RouteInfo::PriceDelta`] when only price entries relaxed on an
-    /// unchanged selected path (the monotone-relaxation common case of
-    /// Sect. 6). On by default.
-    delta_encoding: bool,
+    rib_out: AdjRibOut,
+    /// Per-inbox scratch: touched destinations and their causes.
+    dirty: DirtyDests,
 }
 
 impl PricingBgpNode {
-    /// Creates the pricing node for AS `id` of the graph.
+    /// Creates the pricing node for AS `id` of the graph. Allocates
+    /// nothing network-sized: the per-destination arrays grow on first
+    /// use.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in the graph.
     pub fn new(graph: &AsGraph, id: AsId) -> Self {
+        let n = graph.node_count();
         PricingBgpNode {
-            selector: RouteSelector::new(id, graph.cost(id), graph.neighbors(id).iter().copied()),
-            prices: BTreeMap::new(),
-            advertised: BTreeMap::new(),
-            delta_encoding: true,
+            selector: RouteSelector::new(
+                id,
+                graph.cost(id),
+                n,
+                graph.neighbors(id).iter().copied(),
+            ),
+            prices: Vec::new(),
+            relaxed: Vec::new(),
+            rib_out: AdjRibOut::new(n),
+            dirty: DirtyDests::default(),
         }
     }
 
     /// Enables or disables [`RouteInfo::PriceDelta`] compression of change
-    /// advertisements (on by default). The delta-stream equivalence
-    /// proptests run both settings and assert identical fixpoints.
+    /// advertisements (on by default): when only price entries relaxed on
+    /// an unchanged selected path (the monotone-relaxation common case of
+    /// Sect. 6), the advertisement shrinks to the changed cells. The
+    /// delta-stream equivalence proptests run both settings and assert
+    /// identical fixpoints.
     pub fn set_delta_encoding(&mut self, on: bool) {
-        self.delta_encoding = on;
+        self.rib_out.set_delta_encoding(on);
     }
 
     /// Creates one pricing node per AS, in AS order.
@@ -97,22 +105,21 @@ impl PricingBgpNode {
     /// The current price array for `dest`, aligned with the selected
     /// route's transit nodes.
     pub fn prices(&self, dest: AsId) -> Option<&[Cost]> {
-        self.prices.get(&dest).map(Vec::as_slice)
+        Some(stored(&self.prices, dest)).filter(|arr| !arr.is_empty())
     }
 
     /// The current price `p^k_{i,dest}` for transit node `k` of the
     /// selected route to `dest` (`None` if `k` is not transit on it).
     pub fn price(&self, dest: AsId, k: AsId) -> Option<Cost> {
         let route = self.selector.selected(dest)?;
-        let transit = &route.path[1..route.path.len().saturating_sub(1)];
-        let pos = transit.iter().position(|e| e.node == k)?;
-        self.prices.get(&dest)?.get(pos).copied()
+        let pos = route.transit().iter().position(|e| e.node == k)?;
+        self.prices(dest)?.get(pos).copied()
     }
 
     /// One relaxation pass for `dest`: recomputes the price array *from
     /// scratch* — reset every entry to `∞`, then apply every neighbor bound
     /// available in the current Rib-In. Returns `true` if the stored array
-    /// changed.
+    /// changed; the stored array is rewritten (in place) only then.
     ///
     /// Recomputing from scratch (rather than taking a running minimum
     /// across passes, as the paper's static-network presentation does) is
@@ -130,17 +137,22 @@ impl PricingBgpNode {
         if dest == me {
             return false;
         }
-        let Some(route) = self.selector.selected(dest) else {
-            return self.prices.remove(&dest).is_some();
+        let Some(route) = self
+            .selector
+            .selected(dest)
+            .filter(|r| !r.transit().is_empty())
+        else {
+            // No route, or no transit node on it: no prices.
+            return self
+                .prices
+                .get_mut(dest.index())
+                .is_some_and(|arr| !std::mem::take(arr).is_empty());
         };
-        let transit: &[PathEntry] = &route.path[1..route.path.len() - 1];
-        if transit.is_empty() {
-            return self.prices.remove(&dest).is_some();
-        }
-
-        let mut arr = vec![Cost::INFINITE; transit.len()];
-
+        let transit: &[PathEntry] = route.transit();
         let my_route_cost = route.cost;
+        let arr = &mut self.relaxed;
+        arr.clear();
+        arr.resize(transit.len(), Cost::INFINITE);
 
         // The paper states its relaxation as four cases by the neighbor's
         // position in the tree T(j) — parent (i), child (ii), unrelated
@@ -176,14 +188,16 @@ impl PricingBgpNode {
             else {
                 continue;
             };
-            let a_declared = a_path[0].cost;
+            let Some(a_head) = a_path.first() else {
+                continue;
+            };
             // Shift shared by all cases; a transiently inconsistent
             // Rib-In can make it negative, in which case the bound is
             // skipped (it would have been invalid anyway).
-            let Some(shift) = (a_declared + *a_route_cost).checked_sub(my_route_cost) else {
+            let Some(shift) = (a_head.cost + *a_route_cost).checked_sub(my_route_cost) else {
                 continue;
             };
-            for (pos, k_entry) in transit.iter().enumerate() {
+            for (k_entry, slot) in transit.iter().zip(arr.iter_mut()) {
                 let k = k_entry.node;
                 // Excluded case: the link i–a is never on a k-avoiding path
                 // when a IS k, so that neighbor offers no bound for k.
@@ -206,81 +220,60 @@ impl PricingBgpNode {
                     // state; no bound.
                     continue;
                 };
-                // lint:allow(bounds: pos enumerates transit and arr is sized to transit len)
-                if bound < arr[pos] {
-                    // lint:allow(bounds: pos enumerates transit and arr is sized to transit len)
-                    arr[pos] = bound;
+                if bound < *slot {
+                    *slot = bound;
                 }
             }
         }
 
         crate::invariants::relaxation_step(transit, arr.as_slice());
-        let changed = self.prices.get(&dest) != Some(&arr);
-        self.prices.insert(dest, arr);
-        changed
-    }
-
-    /// The advertisement for `dest` reflecting current state (route +
-    /// prices, or withdrawal).
-    fn advertisement_for(&self, dest: AsId) -> RouteInfo {
-        match self.selector.selected(dest) {
-            Some(route) => RouteInfo::Reachable {
-                path: route.path.clone(),
-                path_cost: route.cost,
-                prices: self.prices.get(&dest).cloned().unwrap_or_default(),
-            },
-            None => RouteInfo::Withdrawn,
+        if self.prices.len() < self.selector.node_count() {
+            self.prices
+                .resize_with(self.selector.node_count(), Default::default);
+        }
+        match self.prices.get_mut(dest.index()) {
+            Some(stored) if *stored != *arr => {
+                stored.clone_from(arr);
+                true
+            }
+            _ => false,
         }
     }
 
-    /// Emits changed advertisements, mirroring
-    /// [`bgpvcg_bgp::PlainBgpNode`]'s change-suppression rule. Environment
-    /// paths (start, local events) pass no cause map, so provenance stays
-    /// cause 0.
-    fn emit(&mut self, dests: impl IntoIterator<Item = AsId>) -> Option<Update> {
-        self.emit_caused(dests, &BTreeMap::new())
-    }
-
-    /// [`emit`](Self::emit) with provenance: the emitted update's `causes`
-    /// vector is built in lockstep with its advertisements from the
-    /// per-destination cause map `handle` assembled.
-    fn emit_caused(
+    /// Emits changed advertisements for `dests` (ascending), mirroring
+    /// [`bgpvcg_bgp::PlainBgpNode`]'s change-suppression rule. `cause`
+    /// names each destination's provenance (0 = environment: start, local
+    /// events); the emitted update's `causes` vector is built in lockstep
+    /// with its advertisements.
+    fn emit(
         &mut self,
         dests: impl IntoIterator<Item = AsId>,
-        causes: &BTreeMap<AsId, u64>,
+        cause: impl Fn(AsId) -> u64,
     ) -> Option<Update> {
         let mut ads = Vec::new();
-        let mut ad_causes = Vec::new();
+        let mut causes = Vec::new();
         for dest in dests {
-            let info = self.advertisement_for(dest);
-            let changed = match self.advertised.get(&dest) {
-                Some(prev) => *prev != info,
-                None => !matches!(info, RouteInfo::Withdrawn),
-            };
-            if changed {
-                // When only price entries moved on an unchanged path (the
-                // monotone-relaxation common case), send a compressed delta
-                // against the previously advertised route; the receiver
-                // patches its retained copy. `advertised` always records
-                // the full state the wire form stands for.
-                let wire_info = self
-                    .advertised
-                    .get(&dest)
-                    .filter(|_| self.delta_encoding)
-                    .and_then(|prev| RouteInfo::delta_from(prev, &info))
-                    .unwrap_or_else(|| info.clone());
-                self.advertised.insert(dest, info);
+            let route = self.selector.selected(dest);
+            if let Some(info) = self
+                .rib_out
+                .advertise(dest, route, stored(&self.prices, dest))
+            {
                 ads.push(RouteAdvertisement {
                     destination: dest,
-                    info: wire_info,
+                    info,
                 });
-                ad_causes.push(causes.get(&dest).copied().unwrap_or(0));
+                causes.push(cause(dest));
             }
         }
         let mut update = Update::if_nonempty(self.selector.id(), ads)?;
-        update.causes = ad_causes;
+        update.causes = causes;
         Some(update)
     }
+}
+
+/// The price array stored for `dest` (empty: no route or no transit node).
+fn stored(prices: &[Vec<Cost>], dest: AsId) -> &[Cost] {
+    prices.get(dest.index()).map_or(&[], Vec::as_slice)
 }
 
 impl ProtocolNode for PricingBgpNode {
@@ -293,36 +286,26 @@ impl ProtocolNode for PricingBgpNode {
     }
 
     fn start(&mut self) -> Option<Update> {
-        self.emit([self.selector.id()])
+        self.emit([self.selector.id()], |_| 0)
     }
 
     fn handle(&mut self, updates: &[Arc<Update>]) -> Option<Update> {
-        let mut affected: BTreeSet<AsId> = BTreeSet::new();
         // Provenance: each affected destination is attributed to the last
         // inbound update (in inbox order) whose ingestion touched it.
-        let mut causes: BTreeMap<AsId, u64> = BTreeMap::new();
-        for update in updates {
-            for dest in self.selector.ingest(update) {
-                causes.insert(dest, update.id);
-                affected.insert(dest);
-            }
-        }
-        let mut out = BTreeSet::new();
-        for &dest in &affected {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.ingest(&mut self.selector, updates);
+        dirty.retain(|dest| {
             let route_changed = self.selector.decide(dest);
-            if self.refresh_prices(dest) || route_changed {
-                out.insert(dest);
-            }
-        }
-        self.emit_caused(out, &causes)
+            self.refresh_prices(dest) || route_changed
+        });
+        let out = self.emit(dirty.dests().iter().copied(), |dest| dirty.cause(dest));
+        self.dirty = dirty;
+        out
     }
 
     fn apply_event(&mut self, event: LocalEvent) -> Option<Update> {
         match event {
             LocalEvent::LinkDown(neighbor) => {
-                if !self.selector.has_neighbor(neighbor) {
-                    return None;
-                }
                 // Only the destinations the vanished Rib-In covered can
                 // change: both route selection and the relaxation draw
                 // their candidates/bounds for `dest` exclusively from rib
@@ -332,12 +315,11 @@ impl ProtocolNode for PricingBgpNode {
                 // provably unchanged and need no recompute (and the dead
                 // link's bounds are flushed exactly where they could
                 // exist).
-                let affected = self.selector.rib_destinations(neighbor);
-                self.selector.link_down(neighbor); // re-decides `affected`
-                for &dest in &affected {
+                let covered = self.selector.link_down(neighbor); // re-decides them
+                for &(dest, _) in &covered {
                     self.refresh_prices(dest);
                 }
-                self.emit(affected)
+                self.emit(covered.into_iter().map(|(dest, _)| dest), |_| 0)
             }
             LocalEvent::LinkUp(neighbor) => {
                 self.selector.link_up(neighbor);
@@ -350,7 +332,7 @@ impl ProtocolNode for PricingBgpNode {
                 // so the price arrays are untouched. Re-advertise exactly
                 // the table entries whose first path entry restamped.
                 let changed = self.selector.set_declared_cost(cost);
-                self.emit(changed)
+                self.emit(changed, |_| 0)
             }
         }
     }
@@ -359,9 +341,14 @@ impl ProtocolNode for PricingBgpNode {
         let ads: Vec<RouteAdvertisement> = self
             .selector
             .destinations()
-            .map(|dest| RouteAdvertisement {
-                destination: dest,
-                info: self.advertisement_for(dest),
+            .filter_map(|dest| {
+                Some(RouteAdvertisement {
+                    destination: dest,
+                    info: self
+                        .selector
+                        .selected(dest)?
+                        .advertisement(stored(&self.prices, dest)),
+                })
             })
             .collect();
         Update::if_nonempty(self.selector.id(), ads)
@@ -370,34 +357,19 @@ impl ProtocolNode for PricingBgpNode {
     fn reset(&mut self) {
         self.selector.reset();
         self.prices.clear();
-        self.advertised.clear();
+        self.rib_out.clear();
     }
 
     fn state(&self) -> StateSnapshot {
-        // Reuse the plain node's accounting for the shared structures...
-        let mut snapshot = StateSnapshot::default();
-        for dest in self.selector.destinations() {
-            if let Some(route) = self.selector.selected(dest) {
-                snapshot.table_entries += 1;
-                snapshot.table_path_nodes += route.path.len();
-            }
-        }
-        let neighbors: Vec<AsId> = self.selector.neighbors().collect();
-        for a in neighbors {
-            for dest in self.selector.destinations().collect::<Vec<_>>() {
-                if let Some(info) = self.selector.rib(a, dest) {
-                    snapshot.rib_entries += 1;
-                    snapshot.rib_path_nodes += info.path().map_or(0, <[_]>::len);
-                }
-            }
-        }
-        // ...plus the extension's price state (own arrays and the arrays
-        // remembered in the Rib-In are both part of the node's footprint;
-        // the former is the paper's "added state"). The arrays are stored
-        // here aligned with the selected route's transit slice, but a
-        // deployable encoding labels each price with the transit node it
-        // prices — one AS cell per entry, counted as `price_path_nodes`.
-        snapshot.price_entries = self.prices.values().map(Vec::len).sum();
+        // The shared routing structures, plus the extension's price state
+        // (own arrays and the arrays remembered in the Rib-In are both part
+        // of the node's footprint; the former is the paper's "added
+        // state"). The arrays are stored here aligned with the selected
+        // route's transit slice, but a deployable encoding labels each
+        // price with the transit node it prices — one AS cell per entry,
+        // counted as `price_path_nodes`.
+        let mut snapshot = self.selector.state();
+        snapshot.price_entries = self.prices.iter().map(Vec::len).sum();
         snapshot.price_path_nodes = snapshot.price_entries;
         snapshot
     }

@@ -501,14 +501,20 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 /// engine's per-stage loop, the wire codec's zero-allocation encode
 /// path (every broadcast runs it; the `*_v2` entry points write into a
 /// caller-owned scratch buffer, and the size models are pure arithmetic),
-/// and the span profiler's enter/exit brackets (they wrap every hot-path
-/// phase, so an allocation there would tax everything they measure).
+/// the span profiler's enter/exit brackets (they wrap every hot-path
+/// phase, so an allocation there would tax everything they measure), and
+/// the pricing node's per-inbox step (ingest, select and relax reuse
+/// per-node scratch; only the emitted update allocates, in `emit`).
 pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
         "crates/bgp/src/engine/sync.rs",
         &["run_stage", "parallel_handle"],
     ),
     ("crates/telemetry/src/profile.rs", &["enter", "exit"]),
+    (
+        "crates/core/src/pricing_node.rs",
+        &["handle", "refresh_prices"],
+    ),
     (
         "crates/bgp/src/wire.rs",
         &[

@@ -1,12 +1,14 @@
-//! Heavier soak tests, `#[ignore]`d by default (run with
-//! `cargo test --release -- --ignored`). These push sizes and event counts
-//! well beyond the regular suite; they exist to catch anything that only
-//! shows up at scale (quadratic blowups, counter overflows, convergence
-//! pathologies).
+//! Heavier soak tests. The event storm runs in the default suite; the
+//! larger ones are `#[ignore]`d by default (run with
+//! `cargo test --release --test stress -- --ignored`). These push sizes and
+//! event counts well beyond the regular suite; they exist to catch anything
+//! that only shows up at scale (quadratic blowups, counter overflows,
+//! convergence pathologies) or only after a long event history (warm state
+//! drifting from what a cold start computes).
 
-use bgp_vcg::bgp::TopologyEvent;
+use bgp_vcg::bgp::{ProtocolNode, TopologyEvent};
 use bgp_vcg::netgraph::generators::{barabasi_albert, random_costs};
-use bgp_vcg::{protocol, vcg, AsGraph, AsId, Cost};
+use bgp_vcg::{protocol, vcg, AsGraph, AsId, Cost, PricingBgpNode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,10 +29,35 @@ fn exactness_at_n128() {
     assert_eq!(run.outcome, vcg::compute(&g).unwrap());
 }
 
-/// An event storm: 25 random events applied in sequence, with exactness
-/// verified against a fresh centralized computation after every one.
+/// Asserts that every warm node's full protocol state equals that of a
+/// cold engine converged on `g`: neighbor list, selected route and price
+/// array per destination, and every Rib-In entry.
+fn assert_matches_cold(g: &AsGraph, warm: &[PricingBgpNode], context: &str) {
+    let mut cold = protocol::build_sync_engine(g).unwrap();
+    assert!(cold.run_to_convergence().converged, "{context}: cold run");
+    for (w, c) in warm.iter().zip(cold.nodes()) {
+        let i = w.id();
+        let (ws, cs) = (w.selector(), c.selector());
+        let neighbors: Vec<AsId> = cs.neighbors().collect();
+        assert_eq!(
+            ws.neighbors().collect::<Vec<_>>(),
+            neighbors,
+            "{context}: neighbors of {i}"
+        );
+        for j in g.nodes() {
+            assert_eq!(ws.selected(j), cs.selected(j), "{context}: {i}->{j} route");
+            assert_eq!(w.prices(j), c.prices(j), "{context}: {i}->{j} prices");
+            for &a in &neighbors {
+                assert_eq!(ws.rib(a, j), cs.rib(a, j), "{context}: {i}'s rib({a}, {j})");
+            }
+        }
+    }
+}
+
+/// An event storm: 25 random events applied in sequence. After every one,
+/// the outcome must equal a fresh centralized computation and every node's
+/// full state must equal a cold engine's converged on the current graph.
 #[test]
-#[ignore = "soak test: run with --ignored (release recommended)"]
 fn event_storm_stays_exact() {
     let mut g = big_graph(48, 2);
     let mut engine = protocol::build_sync_engine(&g).unwrap();
@@ -96,11 +123,9 @@ fn event_storm_stays_exact() {
         };
         let nodes: Vec<_> = engine.nodes().cloned().collect();
         let outcome = protocol::outcome_from_nodes(&nodes).unwrap();
-        assert_eq!(
-            outcome,
-            vcg::compute(&g).unwrap(),
-            "after event #{applied}: {event:?}"
-        );
+        let context = format!("after event #{applied}: {event:?}");
+        assert_eq!(outcome, vcg::compute(&g).unwrap(), "{context}");
+        assert_matches_cold(&g, &nodes, &context);
         applied += 1;
     }
     assert_eq!(applied, 25, "storm must complete");
