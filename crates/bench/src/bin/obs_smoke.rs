@@ -153,7 +153,7 @@ fn main() {
         "the equivocator must be quarantined"
     );
     // The audited adversarial run exercises the widest span set: stage,
-    // route-select, wire-encode, price-relax, audit-shadow, adversary-tap,
+    // route-select, wire-encode, observe, audit-shadow, adversary-tap,
     // and the health-fold poll — ≥ 6 phases with nonzero counts.
     let profiler = audited.profiler().expect("profiler attached");
     let covered = (0..bgpvcg_telemetry::profile::span::NAMES.len())

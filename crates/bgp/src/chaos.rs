@@ -52,15 +52,12 @@ use crate::adversary::Adversary;
 use crate::dynamics::LocalEvent;
 use crate::message::{Frame, FrameKind, Update};
 use crate::node::ProtocolNode;
-use crate::telemetry::UpdateTracer;
+use crate::telemetry::Observers;
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId};
 use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot};
 use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::{
-    Clock, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock, Telemetry, TraceEvent,
-    TraceSink,
-};
+use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -372,11 +369,9 @@ pub struct ChaosEngine<N> {
     update_seq: u64,
     stage: u64,
     report: ChaosReport,
-    telemetry: Option<Telemetry>,
-    tracer: Option<UpdateTracer>,
-    /// Attached divergence flight recorder, dumped when a run exhausts its
-    /// stage budget without stabilizing.
-    flight: Option<FlightRecorder>,
+    /// Attached telemetry, flight recorder, health monitor and profiler
+    /// (all detached by default, at zero cost).
+    obs: Observers,
     /// Scratch: updates delivered in-order this stage, per node index.
     pending: Vec<Vec<Arc<Update>>>,
     /// Scratch: `true` while the current stage has observed recovery-layer
@@ -391,16 +386,6 @@ pub struct ChaosEngine<N> {
     /// function, so retransmitted and re-established streams stay
     /// self-consistent and runs replay exactly.
     adversaries: Vec<Option<Adversary>>,
-    /// Attached hierarchical span profiler (`None` = zero overhead); see
-    /// [`attach_profiler`](Self::attach_profiler).
-    profiler: Option<SpanProfiler>,
-    /// Clock backing the profiler's timestamps.
-    prof_clock: Option<Arc<dyn Clock>>,
-    /// Attached streaming health monitor, teed into the trace stream; see
-    /// [`attach_health`](Self::attach_health).
-    health: Option<Arc<HealthSink>>,
-    /// Whether the one-shot health-stall post-mortem has been written.
-    health_stall_dumped: bool,
 }
 
 impl<N: ProtocolNode> ChaosEngine<N> {
@@ -440,17 +425,11 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 converged: true,
                 ..ChaosReport::default()
             },
-            telemetry: None,
-            tracer: None,
-            flight: None,
+            obs: Observers::default(),
             pending: vec![Vec::new(); n],
             stage_active: false,
             scratch: Vec::new(),
             adversaries: (0..n).map(|_| None).collect(),
-            profiler: None,
-            prof_clock: None,
-            health: None,
-            health_stall_dumped: false,
         }
     }
 
@@ -485,226 +464,87 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// delivery passes through honestly.
     fn adversarial_payload(&mut self, from: u32, to: u32, update: &Update) -> Option<Update> {
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        self.adversaries[from as usize].as_ref()?;
-        self.prof_enter(span::ADVERSARY_TAP);
-        let out = self.adversarial_payload_tapped(from, to, update);
-        self.prof_exit();
-        out
-    }
-
-    /// The armed-tap body of [`adversarial_payload`]
-    /// (Self::adversarial_payload), split out so the profiler span
-    /// brackets every early return.
-    fn adversarial_payload_tapped(
-        &mut self,
-        from: u32,
-        to: u32,
-        update: &Update,
-    ) -> Option<Update> {
+        let adversary = self.adversaries[from as usize].as_mut()?;
+        self.obs.enter(span::ADVERSARY_TAP);
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
         let rank = self.adjacency[from as usize]
             .iter()
-            .position(|a| a.index() as u32 == to)?;
-        // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
-        let adversary = self.adversaries[from as usize].as_mut()?;
-        let strategy = adversary.strategy().code();
-        let perturbed = adversary.perturb(AsId::new(to), rank, update)?;
-        self.record(&TraceEvent::AdversaryInjected {
-            stage: self.stage,
-            node: from,
-            peer: to,
-            strategy,
-        });
-        Some(perturbed)
+            .position(|a| a.index() as u32 == to);
+        let perturbed = rank.and_then(|rank| adversary.perturb(AsId::new(to), rank, update));
+        if perturbed.is_some() {
+            self.obs.record(&TraceEvent::AdversaryInjected {
+                stage: self.stage,
+                node: from,
+                peer: to,
+                strategy: adversary.strategy().code(),
+            });
+        }
+        self.obs.exit();
+        perturbed
     }
 
     /// Attaches observability: fault injections, retransmits, session
     /// resets and restarts are traced, and broadcast updates narrate
-    /// through the same [`UpdateTracer`] the synchronous engine uses.
+    /// through the same [`UpdateTracer`](crate::telemetry::UpdateTracer)
+    /// the synchronous engine uses.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.tracer = Some(UpdateTracer::new(telemetry));
-        self.telemetry = Some(telemetry.clone());
+        self.obs.attach_telemetry(telemetry);
     }
 
     /// Attaches a divergence flight recorder: the most recent `capacity`
     /// trace events are retained, and a run that exhausts its stage budget
     /// without stabilizing dumps the tail plus per-node session snapshots
-    /// to `path` (see [`bgpvcg_telemetry::flight`]). Call after
-    /// [`attach_telemetry`](Self::attach_telemetry): the recorder tees off
-    /// whatever telemetry is attached at that point (and works standalone
-    /// on a detached engine).
+    /// to `path` (see [`bgpvcg_telemetry::flight`]). Works with or without
+    /// telemetry attached, in either order.
     pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        let recorder = FlightRecorder::new(path.to_path_buf(), capacity);
-        let telemetry = match &self.telemetry {
-            Some(t) => t.tee(recorder.sink()),
-            None => Telemetry::new(recorder.sink()),
-        };
-        self.tracer = Some(UpdateTracer::new(&telemetry));
-        self.telemetry = Some(telemetry);
-        self.flight = Some(recorder);
+        self.obs.attach_flight_recorder(path, capacity);
     }
 
     /// The attached flight recorder, if any.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+        self.obs.flight_recorder()
     }
 
     /// Attaches the hierarchical span profiler over the harness phases
     /// (per-stage root, route-select/handle, wire framing, and the
     /// session/retransmit timer pass). Timestamps come from the attached
-    /// telemetry's clock, or a fresh [`SystemClock`] when detached. Call
-    /// after [`attach_telemetry`](Self::attach_telemetry).
+    /// telemetry's clock, or a fresh
+    /// [`SystemClock`](bgpvcg_telemetry::SystemClock) when detached.
     pub fn attach_profiler(&mut self) {
-        self.prof_clock = Some(match &self.telemetry {
-            Some(t) => t.clock_handle(),
-            None => Arc::new(SystemClock::new()),
-        });
-        self.profiler = Some(SpanProfiler::engine());
+        self.obs.attach_profiler();
     }
 
     /// The attached span profiler's current totals, if any.
     pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.profiler.as_ref()
+        self.obs.profiler()
     }
 
     /// Detaches and returns the span profiler (e.g. to merge shards).
     pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
-        self.prof_clock = None;
-        self.profiler.take()
+        self.obs.take_profiler()
     }
 
     /// Attaches the streaming convergence-health monitor: a [`HealthSink`]
-    /// is teed into the trace stream so it folds every event as recorded.
+    /// is teed into the trace stream (with or without telemetry attached,
+    /// in either order) so it folds every event as recorded.
     /// [`run_to_stable`](Self::run_to_stable) polls the stall detector
     /// after every stage and — with a flight recorder attached — writes a
     /// [`flight::REASON_HEALTH_STALL`] post-mortem at first stall, before
-    /// the stage budget runs out. Call after `attach_telemetry` /
-    /// `attach_flight_recorder`.
+    /// the stage budget runs out.
     pub fn attach_health(&mut self, config: HealthConfig) {
-        let sink = Arc::new(HealthSink::new(config));
-        let telemetry = match &self.telemetry {
-            Some(t) => t.tee(Arc::clone(&sink) as Arc<dyn TraceSink>),
-            None => Telemetry::new(Arc::clone(&sink) as Arc<dyn TraceSink>),
-        };
-        self.tracer = Some(UpdateTracer::new(&telemetry));
-        self.telemetry = Some(telemetry);
-        self.health = Some(sink);
+        self.obs.attach_health(config);
     }
 
     /// The attached health monitor, if any.
     pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
-        self.health.as_ref()
-    }
-
-    /// Opens span `id` on the attached profiler (no-op when detached).
-    fn prof_enter(&mut self, id: SpanId) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.enter(id, clock.now_nanos());
-        }
-    }
-
-    /// Closes the innermost open span (no-op when detached).
-    fn prof_exit(&mut self) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.exit(clock.now_nanos());
-        }
-    }
-
-    /// Writes the one-shot health-stall post-mortem (the fired findings as
-    /// snapshots plus the session-layer run counters). Best-effort; a
-    /// no-op without a recorder.
-    fn dump_health_flight(&mut self) {
-        if self.health_stall_dumped {
-            return;
-        }
-        self.health_stall_dumped = true;
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let findings = self
-            .health
-            .as_ref()
-            .map(|h| h.findings())
-            .unwrap_or_default();
-        let snapshots: Vec<StateSnapshot> = findings
-            .iter()
-            .take(64)
-            .map(|f| StateSnapshot {
-                node: f.node,
-                fields: vec![
-                    ("detector", u64::from(f.detector)),
-                    ("stage", f.stage),
-                    ("dest", u64::from(f.dest)),
-                    ("count", f.count),
-                    ("threshold", f.threshold),
-                ],
-            })
-            .collect();
-        let _ = recorder.dump(
-            flight::REASON_HEALTH_STALL,
-            self.stage,
-            &[
-                ("findings", findings.len() as u64),
-                ("messages", self.report.messages),
-                ("retransmits", self.report.retransmits),
-                ("session_resets", self.report.session_resets),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ],
-            &snapshots,
-        );
-    }
-
-    /// Emits end-of-run observability: freshly-fired health findings as
-    /// `HealthVerdict` events and the profiler's cumulative per-span
-    /// totals as `SpanSummary` events, stamped with the current stage.
-    fn emit_run_observability(&mut self) {
-        let Some(telemetry) = self.telemetry.clone() else {
-            return;
-        };
-        if let Some(health) = self.health.as_ref() {
-            for finding in health.drain_new_findings() {
-                telemetry.record(&finding.to_event());
-            }
-        }
-        if let Some(profiler) = self.profiler.as_ref() {
-            for event in profiler.summary_events(self.stage) {
-                telemetry.record(&event);
-            }
-        }
+        self.obs.health_sink()
     }
 
     /// Writes the divergence dump after a budget exhaustion. Best-effort:
     /// I/O errors are swallowed, the recorder being advisory.
     fn dump_flight(&self) {
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let mut snapshots: Vec<StateSnapshot> = self
-            .sessions
-            .iter()
-            .zip(&self.up)
-            .zip(&self.pending)
-            .enumerate()
-            .map(|(idx, ((sessions, &up), pending))| StateSnapshot {
-                node: idx as u32,
-                fields: vec![
-                    ("up", u64::from(up)),
-                    (
-                        "sessions_established",
-                        sessions.values().filter(|s| s.send.established).count() as u64,
-                    ),
-                    (
-                        "unacked_frames",
-                        sessions.values().map(|s| s.send.unacked.len() as u64).sum(),
-                    ),
-                    ("pending_updates", pending.len() as u64),
-                ],
-            })
-            .collect();
-        snapshots.truncate(64);
         let frames_in_flight: u64 = self.channels.values().map(|c| c.queue.len() as u64).sum();
-        let _ = recorder.dump(
+        self.obs.dump_flight(
             flight::REASON_NOT_STABILIZED,
             self.stage,
             &[
@@ -718,7 +558,26 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 ("updates_stamped", self.update_seq),
                 ("nodes", self.nodes.len() as u64),
             ],
-            &snapshots,
+            self.sessions
+                .iter()
+                .zip(&self.up)
+                .zip(&self.pending)
+                .enumerate()
+                .map(|(idx, ((sessions, &up), pending))| StateSnapshot {
+                    node: idx as u32,
+                    fields: vec![
+                        ("up", u64::from(up)),
+                        (
+                            "sessions_established",
+                            sessions.values().filter(|s| s.send.established).count() as u64,
+                        ),
+                        (
+                            "unacked_frames",
+                            sessions.values().map(|s| s.send.unacked.len() as u64).sum(),
+                        ),
+                        ("pending_updates", pending.len() as u64),
+                    ],
+                }),
         );
     }
 
@@ -764,10 +623,15 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.nodes
     }
 
-    fn record(&self, event: &TraceEvent) {
-        if let Some(t) = &self.telemetry {
-            t.record(event);
-        }
+    /// Traces a fault injected at the current stage on `node`'s side of
+    /// the link to `peer` (or [`fault::NODE_PEER`] for node faults).
+    fn record_fault(&self, node: u32, peer: u32, fault: u32) {
+        self.obs.record(&TraceEvent::FaultInjected {
+            stage: self.stage,
+            node,
+            peer,
+            fault,
+        });
     }
 
     /// `true` if the undirected link `a`–`b` exists, both ends are up, and
@@ -823,32 +687,17 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         if stage < self.plan.horizon {
             if self.rng.gen_bool(self.plan.drop_rate) {
                 self.report.frames_dropped += 1;
-                self.record(&TraceEvent::FaultInjected {
-                    stage,
-                    node: from,
-                    peer: to,
-                    fault: fault::DROP,
-                });
+                self.record_fault(from, to, fault::DROP);
                 return;
             }
             if self.rng.gen_bool(self.plan.delay_rate) {
                 deliver_at += self.rng.gen_range(1..=self.plan.max_delay.max(1));
                 self.report.frames_delayed += 1;
-                self.record(&TraceEvent::FaultInjected {
-                    stage,
-                    node: from,
-                    peer: to,
-                    fault: fault::DELAY,
-                });
+                self.record_fault(from, to, fault::DELAY);
             }
             if self.rng.gen_bool(self.plan.duplicate_rate) {
                 self.report.frames_duplicated += 1;
-                self.record(&TraceEvent::FaultInjected {
-                    stage,
-                    node: from,
-                    peer: to,
-                    fault: fault::DUPLICATE,
-                });
+                self.record_fault(from, to, fault::DUPLICATE);
                 if let Some(channel) = self.channels.get_mut(&(from, to)) {
                     channel.queue.push((deliver_at + 1, frame.clone()));
                 }
@@ -899,7 +748,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.report.holds_fired += 1;
         self.report.session_resets += 1;
         self.stage_active = true;
-        self.record(&TraceEvent::SessionReset {
+        self.obs.record(&TraceEvent::SessionReset {
             stage: self.stage,
             node: me,
             peer,
@@ -930,9 +779,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.update_seq += 1;
         update.id = self.update_seq;
         self.stage_active = true;
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.observe_update(&update, self.stage);
-        }
+        self.obs.trace(&update, self.stage);
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
         let neighbors = self.adjacency[idx as usize].clone();
         for to in neighbors {
@@ -1019,7 +866,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         if resets > 0 {
             self.report.session_resets += resets;
             self.stage_active = true;
-            self.record(&TraceEvent::SessionReset {
+            self.obs.record(&TraceEvent::SessionReset {
                 stage,
                 node: me,
                 peer,
@@ -1054,7 +901,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             // from it over the dead incarnation: bounce the link locally so
             // the stale Rib-In is dropped before the sessions restart.
             self.report.session_resets += 1;
-            self.record(&TraceEvent::SessionReset {
+            self.obs.record(&TraceEvent::SessionReset {
                 stage,
                 node: me,
                 peer,
@@ -1120,12 +967,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             }
             self.cut.push(key);
             self.stage_active = true;
-            self.record(&TraceEvent::FaultInjected {
-                stage,
-                node: ai,
-                peer: bi,
-                fault: fault::LINK_FLAP,
-            });
+            self.record_fault(ai, bi, fault::LINK_FLAP);
             for dir in [(ai, bi), (bi, ai)] {
                 if let Some(channel) = self.channels.get_mut(&dir) {
                     self.report.frames_dropped += channel.queue.len() as u64;
@@ -1140,12 +982,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 continue;
             }
             let (ai, bi) = (a.index() as u32, b.index() as u32);
-            self.record(&TraceEvent::FaultInjected {
-                stage,
-                node: ai,
-                peer: bi,
-                fault: fault::LINK_FLAP,
-            });
+            self.record_fault(ai, bi, fault::LINK_FLAP);
         }
         self.stage_active |= self
             .plan
@@ -1162,12 +999,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.up[ki] = false;
         self.report.crashes += 1;
         self.stage_active = true;
-        self.record(&TraceEvent::FaultInjected {
-            stage: self.stage,
-            node: ki as u32,
-            peer: fault::NODE_PEER,
-            fault: fault::CRASH,
-        });
+        self.record_fault(ki as u32, fault::NODE_PEER, fault::CRASH);
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
         self.nodes[ki].reset();
         // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
@@ -1196,7 +1028,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.up[ki] = true;
         self.report.restarts += 1;
         self.stage_active = true;
-        self.record(&TraceEvent::NodeRestart {
+        self.obs.record(&TraceEvent::NodeRestart {
             stage: self.stage,
             node: ki as u32,
         });
@@ -1214,11 +1046,11 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     /// faults, establishment, delivery, handling, timers — and every loop
     /// iterates in ascending node/peer order, so runs replay exactly.
     pub fn step(&mut self) {
-        self.prof_enter(span::STAGE);
+        self.obs.enter(span::STAGE);
         self.stage += 1;
         self.stage_active = false;
         let stage = self.stage;
-        self.record(&TraceEvent::StageStart { stage });
+        self.obs.record(&TraceEvent::StageStart { stage });
         self.apply_scheduled_faults();
 
         // Establishment pass: every live directed link without an
@@ -1288,7 +1120,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
 
         // Handle pass: nodes ingest this stage's in-order Data payloads
         // and broadcast what changed.
-        self.prof_enter(span::ROUTE_SELECT);
+        self.obs.enter(span::ROUTE_SELECT);
         for idx in 0..self.nodes.len() as u32 {
             // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
             let updates = std::mem::take(&mut self.pending[idx as usize]);
@@ -1300,15 +1132,15 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
             let out = self.nodes[idx as usize].handle(&updates);
             if let Some(update) = out {
-                self.prof_enter(span::WIRE_ENCODE);
+                self.obs.enter(span::WIRE_ENCODE);
                 self.broadcast(idx, update);
-                self.prof_exit();
+                self.obs.exit();
             }
         }
-        self.prof_exit();
+        self.obs.exit();
 
         // Timer pass: retransmits, hold expiry, keepalives.
-        self.prof_enter(span::SESSION_RETRANSMIT);
+        self.obs.enter(span::SESSION_RETRANSMIT);
         for me in 0..self.nodes.len() as u32 {
             // lint:allow(bounds: per-node session state is sized n at construction and node ids are below n)
             if !self.up[me as usize] {
@@ -1355,7 +1187,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 for (seq, kind) in resend {
                     self.report.retransmits += 1;
                     self.stage_active = true;
-                    self.record(&TraceEvent::Retransmit {
+                    self.obs.record(&TraceEvent::Retransmit {
                         stage,
                         from: me,
                         to: peer,
@@ -1382,8 +1214,8 @@ impl<N: ProtocolNode> ChaosEngine<N> {
                 }
             }
         }
-        self.prof_exit();
-        self.prof_exit();
+        self.obs.exit();
+        self.obs.exit();
     }
 
     /// `true` when nothing recovery-relevant is pending: no sequenced
@@ -1420,11 +1252,16 @@ impl<N: ProtocolNode> ChaosEngine<N> {
             // recorder is armed with the health post-mortem, before the
             // stage budget runs out and a generic not-stabilized dump
             // would bury the cause.
-            self.prof_enter(span::HEALTH_FOLD);
-            if self.health.as_ref().is_some_and(|h| h.stalled()) {
-                self.dump_health_flight();
-            }
-            self.prof_exit();
+            self.obs.poll_health_stall(
+                self.stage,
+                &[
+                    ("messages", self.report.messages),
+                    ("retransmits", self.report.retransmits),
+                    ("session_resets", self.report.session_resets),
+                    ("updates_stamped", self.update_seq),
+                    ("nodes", self.nodes.len() as u64),
+                ],
+            );
             if self.stage > activity_end && self.is_idle() {
                 idle_streak += 1;
                 if idle_streak >= 2 {
@@ -1439,7 +1276,7 @@ impl<N: ProtocolNode> ChaosEngine<N> {
         self.finish(activity_end);
         // The health post-mortem, if one fired, is the richer artifact —
         // don't overwrite it with the generic budget-exhaustion dump.
-        if !self.health_stall_dumped {
+        if !self.obs.stall_dumped() {
             self.dump_flight();
         }
         self.report
@@ -1448,16 +1285,11 @@ impl<N: ProtocolNode> ChaosEngine<N> {
     fn finish(&mut self, activity_end: u64) {
         self.report.stages = self.stage;
         self.report.recovery_stages = self.stage.saturating_sub(activity_end);
-        if let Some(t) = &self.telemetry {
-            t.record(&TraceEvent::Quiescent {
-                stage: self.stage,
-                messages: self.report.messages,
-            });
-        }
-        self.emit_run_observability();
-        if let Some(t) = &self.telemetry {
-            t.flush();
-        }
+        self.obs.record(&TraceEvent::Quiescent {
+            stage: self.stage,
+            messages: self.report.messages,
+        });
+        self.obs.finish_run(self.stage);
     }
 }
 

@@ -16,10 +16,10 @@
 use crate::chaos::FaultPlan;
 use crate::message::Update;
 use crate::node::ProtocolNode;
-use crate::telemetry::{metric, UpdateTracer};
+use crate::telemetry::Observers;
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId};
-use bgpvcg_telemetry::{Counter, Telemetry, TraceEvent};
+use bgpvcg_telemetry::{Telemetry, TraceEvent};
 use crossbeam::channel::{unbounded, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,30 +44,24 @@ enum Envelope {
     Shutdown,
 }
 
-/// Shared instruments for one asynchronous run. The tracer sits behind a
-/// mutex because every worker thread reports through it; the lock is taken
-/// once per *broadcast*, not per delivered message, which keeps contention
-/// proportional to table changes rather than traffic.
+/// Shared instruments for one asynchronous run. The observer bundle sits
+/// behind a mutex because every worker thread reports through it; the lock
+/// is taken once per *broadcast*, not per delivered message, which keeps
+/// contention proportional to table changes rather than traffic.
 struct EventInstruments {
-    tracer: Mutex<UpdateTracer>,
+    obs: Mutex<Observers>,
     /// Global broadcast sequence — the async stand-in for a stage number
     /// (the async engine has no stages; events are keyed by send order).
     seq: AtomicU64,
-    updates_sent: Counter,
-    messages: Counter,
-    entries: Counter,
-    bytes: Counter,
 }
 
 impl EventInstruments {
     fn new(telemetry: &Telemetry) -> Self {
+        let mut obs = Observers::counting_traffic();
+        obs.attach_telemetry(telemetry);
         EventInstruments {
-            tracer: Mutex::new(UpdateTracer::new(telemetry)),
+            obs: Mutex::new(obs),
             seq: AtomicU64::new(0),
-            updates_sent: telemetry.counter(metric::UPDATES_SENT),
-            messages: telemetry.counter(metric::MESSAGES),
-            entries: telemetry.counter(metric::ENTRIES),
-            bytes: telemetry.counter(metric::BYTES),
         }
     }
 
@@ -75,17 +69,19 @@ impl EventInstruments {
     /// update's provenance id with the broadcast sequence number (the same
     /// value standing in for the stage, so effect ids in an async trace are
     /// exactly the event's `stage` key).
-    fn on_broadcast(&self, update: &mut Update, links: u64) {
+    fn on_broadcast(&self, update: &mut Update, links: usize) {
         let stage = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         update.id = stage;
-        self.tracer
+        self.obs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .observe_update(update, stage);
-        self.updates_sent.inc();
-        self.messages.add(links);
-        self.entries.add(links * update.entry_count() as u64);
-        self.bytes.add(links * wire::update_size(update) as u64);
+            .on_broadcast(
+                update,
+                stage,
+                links,
+                links * update.entry_count(),
+                links * wire::update_size(update),
+            );
     }
 }
 
@@ -126,7 +122,7 @@ pub fn run_event_driven<N>(graph: &AsGraph, nodes: Vec<N>) -> (Vec<N>, EventRepo
 where
     N: ProtocolNode,
 {
-    run_event_driven_chaotic(graph, nodes, 0.0, 0)
+    run_event_driven_impl(graph, nodes, None, 0.0, 0.0, None)
 }
 
 /// Like [`run_event_driven`], but each worker services its neighbors'
@@ -137,26 +133,21 @@ where
 /// last-writer-wins Rib-In semantics require; only the *interleaving
 /// across senders* is randomized, which is exactly the freedom a real
 /// asynchronous network has. The protocol must (and does — see the tests)
-/// still reach the unique fixpoint.
-///
-/// `chaos` in `(0, 1)` turns the adversarial scheduler on (the value is
-/// only a switch; scheduling randomness comes from `seed`); `0.0` recovers
-/// plain arrival order.
+/// still reach the unique fixpoint. Scheduling randomness comes from
+/// `seed`.
 ///
 /// # Panics
 ///
-/// Panics if `chaos` is not in `[0, 1)` or node count mismatches the
-/// graph.
+/// Panics if node count mismatches the graph.
 pub fn run_event_driven_chaotic<N>(
     graph: &AsGraph,
     nodes: Vec<N>,
-    chaos: f64,
     seed: u64,
 ) -> (Vec<N>, EventReport)
 where
     N: ProtocolNode,
 {
-    run_event_driven_impl(graph, nodes, chaos, seed, 0.0, 0.0, None)
+    run_event_driven_impl(graph, nodes, Some(seed), 0.0, 0.0, None)
 }
 
 /// Like [`run_event_driven`], but message handling is perturbed by the
@@ -192,18 +183,12 @@ where
         (0.0..1.0).contains(&plan.duplicate_rate) && (0.0..1.0).contains(&plan.delay_rate),
         "fault rates must be in [0, 1)"
     );
-    // Any fault needs the buffering scheduler; 0.5 is only a switch (see
-    // `run_event_driven_chaotic`), randomness comes from the plan's seed.
-    let chaos = if plan.duplicate_rate > 0.0 || plan.delay_rate > 0.0 {
-        0.5
-    } else {
-        0.0
-    };
+    // Any fault needs the buffering scheduler, seeded from the plan.
+    let scheduler = (plan.duplicate_rate > 0.0 || plan.delay_rate > 0.0).then_some(plan.seed);
     run_event_driven_impl(
         graph,
         nodes,
-        chaos,
-        plan.seed,
+        scheduler,
         plan.duplicate_rate,
         plan.delay_rate,
         None,
@@ -227,14 +212,15 @@ pub fn run_event_driven_telemetry<N>(
 where
     N: ProtocolNode,
 {
-    run_event_driven_impl(graph, nodes, 0.0, 0, 0.0, 0.0, Some(telemetry))
+    run_event_driven_impl(graph, nodes, None, 0.0, 0.0, Some(telemetry))
 }
 
+/// The shared body of the event-driven runners. `scheduler_seed` turns the
+/// adversarial cross-sender scheduler on (`None` = plain arrival order).
 fn run_event_driven_impl<N>(
     graph: &AsGraph,
     nodes: Vec<N>,
-    chaos: f64,
-    seed: u64,
+    scheduler_seed: Option<u64>,
     duplicates: f64,
     delays: f64,
     telemetry: Option<&Telemetry>,
@@ -242,9 +228,7 @@ fn run_event_driven_impl<N>(
 where
     N: ProtocolNode,
 {
-    assert!((0.0..1.0).contains(&chaos), "chaos must be in [0, 1)");
     let instruments = telemetry.map(EventInstruments::new);
-    let chaotic = chaos > 0.0;
     assert_eq!(nodes.len(), graph.node_count(), "one node per AS");
     let n = nodes.len();
     // Pre-charge one token per node: each is released only after that
@@ -273,18 +257,13 @@ where
                 .collect();
             let (in_flight, messages, entries) = (&in_flight, &messages, &entries);
             let instruments = instruments.as_ref();
-            let mut scheduler = if chaotic {
-                Some(StdRng::seed_from_u64(
-                    seed ^ (idx as u64).wrapping_mul(0x9e37_79b9),
-                ))
-            } else {
-                None
-            };
+            let mut scheduler = scheduler_seed
+                .map(|seed| StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9e37_79b9)));
 
             handles.push(s.spawn(move || {
                 let broadcast = |mut update: Update| {
                     if let Some(ins) = instruments {
-                        ins.on_broadcast(&mut update, neighbor_txs.len() as u64);
+                        ins.on_broadcast(&mut update, neighbor_txs.len());
                     }
                     // One shared payload for all receiving links.
                     let shared = Arc::new(update);
@@ -419,6 +398,7 @@ mod tests {
     use super::*;
     use crate::engine::SyncEngine;
     use crate::node::PlainBgpNode;
+    use crate::telemetry::metric;
     use bgpvcg_lcp::AllPairsLcp;
     use bgpvcg_netgraph::generators::structured::{fig1, ring};
     use bgpvcg_netgraph::generators::{erdos_renyi, random_costs};
@@ -487,8 +467,7 @@ mod tests {
         let g = erdos_renyi(costs, 0.3, &mut rng);
         let (reference, _) = run_event_driven(&g, PlainBgpNode::from_graph(&g));
         for seed in 0..3 {
-            let (chaotic, _) =
-                run_event_driven_chaotic(&g, PlainBgpNode::from_graph(&g), 0.4, seed);
+            let (chaotic, _) = run_event_driven_chaotic(&g, PlainBgpNode::from_graph(&g), seed);
             for (a, b) in reference.iter().zip(&chaotic) {
                 for j in g.nodes() {
                     assert_eq!(a.selector().route(j), b.selector().route(j), "seed {seed}");
@@ -529,13 +508,6 @@ mod tests {
             ..crate::chaos::FaultPlan::quiet()
         };
         let _ = run_event_driven_faulty(&g, PlainBgpNode::from_graph(&g), &plan);
-    }
-
-    #[test]
-    #[should_panic(expected = "chaos must be")]
-    fn chaos_rejects_out_of_range_parameter() {
-        let g = fig1();
-        let _ = run_event_driven_chaotic(&g, PlainBgpNode::from_graph(&g), 1.0, 0);
     }
 
     #[test]

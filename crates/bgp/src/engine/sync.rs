@@ -15,15 +15,12 @@ use crate::dynamics::{LocalEvent, TopologyEvent};
 use crate::message::{RouteInfo, Update};
 use crate::node::ProtocolNode;
 use crate::stats::StateSnapshot;
-use crate::telemetry::{metric, RunInstruments};
+use crate::telemetry::{metric, Observers};
 use crate::wire;
 use bgpvcg_netgraph::{AsGraph, AsId, Cost, GraphError};
 use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
 use bgpvcg_telemetry::profile::span;
-use bgpvcg_telemetry::{
-    Clock, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock, Telemetry, TraceEvent,
-    TraceSink,
-};
+use bgpvcg_telemetry::{HealthConfig, HealthSink, SpanProfiler, Telemetry, TraceEvent};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -186,14 +183,9 @@ pub struct SyncEngine<N> {
     /// identical ids). 0 is reserved for the environment; see
     /// [`Update::id`].
     update_seq: u64,
-    /// Attached observability instruments (None = zero overhead). Taken out
-    /// of the engine for the duration of each run loop so broadcasts can
-    /// borrow `self` mutably while the instruments record.
-    instruments: Option<RunInstruments>,
-    /// Attached divergence flight recorder: a bounded tail of the event
-    /// stream, dumped as one JSON artifact when a run exceeds the stage
-    /// limit.
-    flight: Option<FlightRecorder>,
+    /// Attached telemetry, flight recorder, health monitor and profiler
+    /// (all detached by default, at zero cost).
+    obs: Observers,
     /// Per-node Byzantine wire wrappers (`None` = honest). Consulted on
     /// every outgoing delivery; see [`set_adversary`](Self::set_adversary).
     adversaries: Vec<Option<Adversary>>,
@@ -208,23 +200,10 @@ pub struct SyncEngine<N> {
     quarantined: Vec<AsId>,
     /// Every accusation the attached auditor returned, in order.
     accusations: Vec<Accusation>,
-    /// Scratch: trace events produced inside `broadcast`/`unicast` (which
-    /// run while the caller holds the instruments), drained into the
-    /// instruments after each delivery batch. Empty on the honest path.
+    /// Scratch: adversary injections traced inside `broadcast`/`unicast`,
+    /// recorded after each delivery batch so they follow the batch's route
+    /// events in the trace. Empty on the honest path.
     pending_events: Vec<TraceEvent>,
-    /// Attached hierarchical span profiler (`None` = zero overhead): the
-    /// engine phases of [`span`] timed with zero per-enter/exit
-    /// allocations. See [`attach_profiler`](Self::attach_profiler).
-    profiler: Option<SpanProfiler>,
-    /// Clock the profiler stamps with, captured at attach time so the hot
-    /// loop never goes through the (taken-out) instruments.
-    prof_clock: Option<Arc<dyn Clock>>,
-    /// Attached streaming health monitor, teed into the trace stream so it
-    /// folds every event as it is recorded. See
-    /// [`attach_health`](Self::attach_health).
-    health: Option<Arc<HealthSink>>,
-    /// Whether the one-shot health-stall post-mortem has been written.
-    health_stall_dumped: bool,
     /// Per-stage observer over the settled node array (economic gauges
     /// etc.), invoked after every executed stage of a traced run.
     stage_observer: Option<ObserverSlot<N>>,
@@ -285,18 +264,13 @@ impl<N: ProtocolNode> SyncEngine<N> {
             started: false,
             steps_executed: 0,
             update_seq: 0,
-            instruments: None,
-            flight: None,
+            obs: Observers::counting_traffic(),
             adversaries: vec![None; n],
             auditor: None,
             auto_quarantine: true,
             quarantined: Vec::new(),
             accusations: Vec::new(),
             pending_events: Vec::new(),
-            profiler: None,
-            prof_clock: None,
-            health: None,
-            health_stall_dumped: false,
             stage_observer: None,
         }
     }
@@ -331,81 +305,61 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// registry's `bgp_*` metrics (see [`metric`]) current. Detached
     /// engines pay nothing.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.instruments = Some(RunInstruments::new(telemetry));
+        self.obs.attach_telemetry(telemetry);
     }
 
     /// Attaches a divergence flight recorder: the most recent `capacity`
     /// trace events are retained in memory, and if a run exceeds the stage
     /// limit the tail plus per-node state snapshots are dumped to `path`
     /// as one schema-valid JSON artifact (see
-    /// [`bgpvcg_telemetry::flight`]). Call after
-    /// [`attach_telemetry`](Self::attach_telemetry): the recorder tees off
-    /// whatever telemetry is attached at that point (and works standalone
-    /// on a detached engine).
+    /// [`bgpvcg_telemetry::flight`]). Works with or without telemetry
+    /// attached, in either order.
     pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
-        let recorder = FlightRecorder::new(path.to_path_buf(), capacity);
-        let telemetry = match self.instruments.take() {
-            Some(ins) => ins.telemetry().tee(recorder.sink()),
-            None => Telemetry::new(recorder.sink()),
-        };
-        self.instruments = Some(RunInstruments::new(&telemetry));
-        self.flight = Some(recorder);
+        self.obs.attach_flight_recorder(path, capacity);
     }
 
     /// The attached flight recorder, if any.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+        self.obs.flight_recorder()
     }
 
     /// Attaches the hierarchical span profiler over the engine phases of
-    /// [`span`] (route-select, wire-encode, price-relax, audit
-    /// shadow-execute, adversary tap, health fold — all nested under the
-    /// per-stage root). Enter/exit on the hot path is allocation-free;
-    /// detached engines pay nothing. Timestamps come from the attached
-    /// telemetry's clock (so tests can script them), or a fresh
-    /// [`SystemClock`] on a detached engine. Attach telemetry first.
+    /// [`span`] (route-select, wire-encode, observe, audit shadow-execute,
+    /// adversary tap, health fold — all nested under the per-stage root).
+    /// Enter/exit on the hot path is allocation-free; detached engines pay
+    /// nothing. Timestamps come from the attached telemetry's clock (so
+    /// tests can script them), or a fresh
+    /// [`SystemClock`](bgpvcg_telemetry::SystemClock) on a detached engine.
     pub fn attach_profiler(&mut self) {
-        self.prof_clock = Some(match self.instruments.as_ref() {
-            Some(ins) => ins.telemetry().clock_handle(),
-            None => Arc::new(SystemClock::new()),
-        });
-        self.profiler = Some(SpanProfiler::engine());
+        self.obs.attach_profiler();
     }
 
     /// The attached span profiler's current totals, if any.
     pub fn profiler(&self) -> Option<&SpanProfiler> {
-        self.profiler.as_ref()
+        self.obs.profiler()
     }
 
     /// Detaches and returns the span profiler (e.g. to merge shards).
     pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
-        self.prof_clock = None;
-        self.profiler.take()
+        self.obs.take_profiler()
     }
 
     /// Attaches the streaming convergence-health monitor: a
-    /// [`HealthSink`] is teed into the trace stream (exactly like
-    /// [`attach_flight_recorder`](Self::attach_flight_recorder), and works
-    /// standalone on a detached engine) so every event is folded as it is
-    /// recorded. The engine polls the stall detector between stages and —
-    /// when a flight recorder is also attached — dumps a
+    /// [`HealthSink`] is teed into the trace stream (with or without
+    /// telemetry attached, in either order) so every event is folded as it
+    /// is recorded. The engine polls the stall detector between stages
+    /// and — when a flight recorder is also attached — dumps a
     /// [`flight::REASON_HEALTH_STALL`] post-mortem at first stall, before
     /// any stage-limit overrun destroys the evidence. Freshly-fired
     /// findings are emitted as `HealthVerdict` trace events at each run
-    /// end. Call after `attach_telemetry` / `attach_flight_recorder`.
+    /// end.
     pub fn attach_health(&mut self, config: HealthConfig) {
-        let sink = Arc::new(HealthSink::new(config));
-        let telemetry = match self.instruments.take() {
-            Some(ins) => ins.telemetry().tee(Arc::clone(&sink) as Arc<dyn TraceSink>),
-            None => Telemetry::new(Arc::clone(&sink) as Arc<dyn TraceSink>),
-        };
-        self.instruments = Some(RunInstruments::new(&telemetry));
-        self.health = Some(sink);
+        self.obs.attach_health(config);
     }
 
     /// The attached health monitor, if any.
     pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
-        self.health.as_ref()
+        self.obs.health_sink()
     }
 
     /// Installs a per-stage observer invoked with `(stage, nodes)` after
@@ -416,110 +370,9 @@ impl<N: ProtocolNode> SyncEngine<N> {
         self.stage_observer = Some(ObserverSlot(observer));
     }
 
-    /// Opens span `id` on the attached profiler (no-op when detached).
-    fn prof_enter(&mut self, id: SpanId) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.enter(id, clock.now_nanos());
-        }
-    }
-
-    /// Closes the innermost open span (no-op when detached).
-    fn prof_exit(&mut self) {
-        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.prof_clock.as_ref()) {
-            profiler.exit(clock.now_nanos());
-        }
-    }
-
-    /// Writes the one-shot health-stall post-mortem: run counters plus the
-    /// fired findings as snapshots. Best-effort like
-    /// [`dump_flight`](Self::dump_flight); a no-op without a recorder.
-    fn dump_health_flight(&mut self, stage: u64, report: &RunReport) {
-        if self.health_stall_dumped {
-            return;
-        }
-        self.health_stall_dumped = true;
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let findings = self
-            .health
-            .as_ref()
-            .map(|h| h.findings())
-            .unwrap_or_default();
-        let snapshots: Vec<FlightSnapshot> = findings
-            .iter()
-            .take(64)
-            .map(|f| FlightSnapshot {
-                node: f.node,
-                fields: vec![
-                    ("detector", u64::from(f.detector)),
-                    ("stage", f.stage),
-                    ("dest", u64::from(f.dest)),
-                    ("count", f.count),
-                    ("threshold", f.threshold),
-                ],
-            })
-            .collect();
-        let _ = recorder.dump(
-            flight::REASON_HEALTH_STALL,
-            stage,
-            &[
-                ("findings", findings.len() as u64),
-                ("stage_limit", self.stage_limit as u64),
-                ("messages", report.messages as u64),
-                ("dirty_nodes", self.dirty.len() as u64),
-                ("updates_stamped", self.update_seq),
-                ("nodes", self.nodes.len() as u64),
-            ],
-            &snapshots,
-        );
-    }
-
-    /// Emits end-of-run observability: freshly-fired health findings as
-    /// `HealthVerdict` events and the profiler's cumulative per-span
-    /// totals as `SpanSummary` events. Stamped with the run's final stage.
-    fn emit_run_observability(&mut self, instruments: &Option<RunInstruments>, stage: u64) {
-        let Some(ins) = instruments.as_ref() else {
-            return;
-        };
-        if let Some(health) = self.health.as_ref() {
-            for finding in health.drain_new_findings() {
-                ins.telemetry().record(&finding.to_event());
-            }
-        }
-        if let Some(profiler) = self.profiler.as_ref() {
-            for event in profiler.summary_events(stage) {
-                ins.telemetry().record(&event);
-            }
-        }
-    }
-
-    /// Writes the divergence dump after a stage-limit abort. Best-effort:
-    /// the recorder is advisory and must not take a failing run further
-    /// down, so I/O errors are swallowed.
+    /// Writes the divergence dump after a stage-limit abort.
     fn dump_flight(&self, executed: usize, report: &RunReport) {
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let mut snapshots: Vec<FlightSnapshot> = self
-            .inboxes
-            .iter()
-            .zip(&self.adjacency)
-            .zip(&self.down)
-            .enumerate()
-            .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
-                node: idx as u32,
-                fields: vec![
-                    ("inbox_depth", inbox.len() as u64),
-                    ("neighbors", neighbors.len() as u64),
-                    ("down", u64::from(down)),
-                ],
-            })
-            .collect();
-        // Bound the artifact on huge topologies; the run summary still
-        // carries the totals.
-        snapshots.truncate(64);
-        let _ = recorder.dump(
+        self.obs.dump_flight(
             flight::REASON_STAGE_LIMIT,
             executed as u64,
             &[
@@ -531,7 +384,19 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 ("updates_stamped", self.update_seq),
                 ("nodes", self.nodes.len() as u64),
             ],
-            &snapshots,
+            self.inboxes
+                .iter()
+                .zip(&self.adjacency)
+                .zip(&self.down)
+                .enumerate()
+                .map(|(idx, ((inbox, neighbors), &down))| FlightSnapshot {
+                    node: idx as u32,
+                    fields: vec![
+                        ("inbox_depth", inbox.len() as u64),
+                        ("neighbors", neighbors.len() as u64),
+                        ("down", u64::from(down)),
+                    ],
+                }),
         );
     }
 
@@ -543,32 +408,25 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// honest subgraph reconverges within the same
     /// `run_to_convergence` call. An accusation whose removal would break
     /// the live graph's biconnectivity is recorded but not quarantined.
-    fn audit_stage(
-        &mut self,
-        stage: u64,
-        report: &mut RunReport,
-        instruments: &mut Option<RunInstruments>,
-    ) {
+    fn audit_stage(&mut self, stage: u64, report: &mut RunReport) {
         if self.auditor.is_none() {
             return;
         }
-        self.prof_enter(span::AUDIT_SHADOW);
+        self.obs.enter(span::AUDIT_SHADOW);
         let accusations = match self.auditor.as_mut() {
             Some(auditor) => auditor.0.end_stage(stage),
             None => Vec::new(),
         };
         for accusation in accusations {
-            if let Some(ins) = instruments.as_mut() {
-                for finding in &accusation.findings {
-                    ins.telemetry().record(&TraceEvent::AuditViolation {
-                        stage,
-                        node: accusation.node.index() as u32,
-                        dest: finding.destination.index() as u32,
-                        expected: advertised_cost_raw(finding.expected.as_ref()),
-                        advertised: advertised_cost_raw(finding.advertised.as_ref()),
-                        violation: u32::from(finding.equivocation),
-                    });
-                }
+            for finding in &accusation.findings {
+                self.obs.record(&TraceEvent::AuditViolation {
+                    stage,
+                    node: accusation.node.index() as u32,
+                    dest: finding.destination.index() as u32,
+                    expected: advertised_cost_raw(finding.expected.as_ref()),
+                    advertised: advertised_cost_raw(finding.advertised.as_ref()),
+                    violation: u32::from(finding.equivocation),
+                });
             }
             self.dump_audit_flight(stage, &accusation);
             let culprit = accusation.node;
@@ -580,20 +438,18 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 .validate_event(TopologyEvent::NodeDown(culprit))
                 .is_ok()
             {
-                if let Some(ins) = instruments.as_mut() {
-                    ins.telemetry().record(&TraceEvent::NodeQuarantined {
-                        stage,
-                        node: culprit.index() as u32,
-                    });
-                }
+                self.obs.record(&TraceEvent::NodeQuarantined {
+                    stage,
+                    node: culprit.index() as u32,
+                });
                 // The wire tap goes with the node: a quarantined adversary
                 // sends nothing more to perturb.
                 self.adversaries[culprit.index()] = None;
-                self.inject_event(TopologyEvent::NodeDown(culprit), report, instruments);
+                self.inject_event(TopologyEvent::NodeDown(culprit), report);
                 self.quarantined.push(culprit);
             }
         }
-        self.prof_exit();
+        self.obs.exit();
     }
 
     /// Writes the audit post-mortem after an accusation: the accused node,
@@ -601,27 +457,20 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// and the recorded event tail. Best-effort like
     /// [`dump_flight`](Self::dump_flight).
     fn dump_audit_flight(&self, stage: u64, accusation: &Accusation) {
-        let Some(recorder) = &self.flight else {
-            return;
-        };
-        let summary: Vec<(&str, u64)> = vec![
-            ("accused", u64::from(accusation.node.index() as u32)),
-            ("stage", stage),
-            ("diverging_destinations", accusation.findings.len() as u64),
-            (
-                "equivocations",
-                accusation
-                    .findings
-                    .iter()
-                    .filter(|f| f.equivocation)
-                    .count() as u64,
-            ),
-        ];
-        let snapshots: Vec<FlightSnapshot> = accusation
-            .findings
-            .iter()
-            .take(64)
-            .map(|finding| FlightSnapshot {
+        let findings = &accusation.findings;
+        self.obs.dump_flight(
+            flight::REASON_AUDIT_VIOLATION,
+            stage,
+            &[
+                ("accused", u64::from(accusation.node.index() as u32)),
+                ("stage", stage),
+                ("diverging_destinations", findings.len() as u64),
+                (
+                    "equivocations",
+                    findings.iter().filter(|f| f.equivocation).count() as u64,
+                ),
+            ],
+            findings.iter().map(|finding| FlightSnapshot {
                 node: finding.destination.index() as u32,
                 fields: vec![
                     (
@@ -634,9 +483,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
                     ),
                     ("equivocation", u64::from(finding.equivocation)),
                 ],
-            })
-            .collect();
-        let _ = recorder.dump(flight::REASON_AUDIT_VIOLATION, stage, &summary, &snapshots);
+            }),
+        );
     }
 
     /// Number of nodes.
@@ -778,7 +626,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
         let mut bytes_v2 = 0usize;
         let tapped = self.adversaries[from.index()].is_some();
         if tapped {
-            self.prof_enter(span::ADVERSARY_TAP);
+            self.obs.enter(span::ADVERSARY_TAP);
         }
         let neighbors = &self.adjacency[from.index()];
         for (rank, &to) in neighbors.iter().enumerate() {
@@ -814,7 +662,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             messages += 1;
         }
         if tapped {
-            self.prof_exit();
+            self.obs.exit();
         }
         (messages, entries, bytes, bytes_v2)
     }
@@ -859,47 +707,39 @@ impl<N: ProtocolNode> SyncEngine<N> {
         (1, entries, size, size_v2)
     }
 
-    /// Drains trace events produced inside `broadcast`/`unicast` (adversary
-    /// injections) into the caller-held instruments. A no-op on honest
-    /// runs.
-    fn drain_pending_events(&mut self, instruments: &mut Option<RunInstruments>) {
-        if self.pending_events.is_empty() {
-            return;
+    /// Records the trace events produced inside `broadcast`/`unicast`
+    /// (adversary injections). A no-op on honest runs.
+    fn drain_pending_events(&mut self) {
+        for event in self.pending_events.drain(..) {
+            self.obs.record(&event);
         }
-        if let Some(ins) = instruments.as_mut() {
-            for event in &self.pending_events {
-                ins.telemetry().record(event);
-            }
-        }
-        self.pending_events.clear();
+    }
+
+    /// Stamps, broadcasts and observes one update emitted outside a stage
+    /// (origin advertisements and topology-event reactions, traced as
+    /// stage 0), adding its traffic to `report`.
+    fn announce(&mut self, from: AsId, mut update: Update, report: &mut RunReport) {
+        self.stamp(&mut update);
+        let update = Arc::new(update);
+        let (m, e, b, b2) = self.broadcast(from, &update, 0);
+        self.obs.on_broadcast(&update, 0, m, e, b);
+        report.messages += m;
+        report.entries += e;
+        report.bytes += b;
+        report.bytes_v2 += b2;
     }
 
     /// Runs every node's `start()` hook, broadcasting the origin
-    /// advertisements (traced as stage 0, preceding stage 1). Returns the
-    /// (messages, entries, bytes, bytes_v2) totals.
-    fn start_protocol(
-        &mut self,
-        instruments: &mut Option<RunInstruments>,
-    ) -> (usize, usize, usize, usize) {
-        let mut totals = (0usize, 0usize, 0usize, 0usize);
+    /// advertisements (traced as stage 0, preceding stage 1) and adding
+    /// their traffic to `report`.
+    fn start_protocol(&mut self, report: &mut RunReport) {
         for idx in 0..self.nodes.len() {
             // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            if let Some(mut update) = self.nodes[idx].start() {
-                self.stamp(&mut update);
-                let update = Arc::new(update);
-                let from = AsId::new(idx as u32);
-                let (m, e, b, b2) = self.broadcast(from, &update, 0);
-                if let Some(ins) = instruments.as_mut() {
-                    ins.on_broadcast(&update, 0, m, e, b);
-                }
-                totals.0 += m;
-                totals.1 += e;
-                totals.2 += b;
-                totals.3 += b2;
+            if let Some(update) = self.nodes[idx].start() {
+                self.announce(AsId::new(idx as u32), update, report);
             }
         }
-        self.drain_pending_events(instruments);
-        totals
+        self.drain_pending_events();
     }
 
     /// Executes one synchronous stage: swap the double-buffered queues,
@@ -909,17 +749,13 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// This is the engine's hot loop: it must not allocate per stage
     /// beyond inbox growth toward the run's high-water mark (enforced by
     /// the `stage-alloc` xtask lint rule on this function body).
-    fn run_stage(
-        &mut self,
-        stage: usize,
-        instruments: &mut Option<RunInstruments>,
-    ) -> StageOutcome {
-        self.prof_enter(span::STAGE);
-        let wall_start = instruments.as_ref().map(|ins| {
-            ins.telemetry().record(&TraceEvent::StageStart {
+    fn run_stage(&mut self, stage: usize) -> StageOutcome {
+        self.obs.enter(span::STAGE);
+        let wall_start = self.obs.telemetry().map(|t| {
+            t.record(&TraceEvent::StageStart {
                 stage: stage as u64,
             });
-            ins.telemetry().now_nanos()
+            t.now_nanos()
         });
         // Swap the double buffers: `delivered`/`receiving` now hold this
         // stage's input, while `inboxes`/`dirty` (emptied last stage,
@@ -933,21 +769,23 @@ impl<N: ProtocolNode> SyncEngine<N> {
         // Ascending node order: the broadcast order below is the engine's
         // determinism contract (serial and parallel runs match exactly).
         receiving.sort_unstable();
-        let mut trace = StageTrace {
-            stage,
-            receiving_nodes: receiving.len(),
-            changed_nodes: 0,
-            messages: 0,
-            bytes: 0,
+        let mut outcome = StageOutcome {
+            trace: StageTrace {
+                stage,
+                receiving_nodes: receiving.len(),
+                changed_nodes: 0,
+                messages: 0,
+                bytes: 0,
+            },
+            entries: 0,
+            bytes_v2: 0,
+            link_max: 0,
         };
-        let mut entries = 0usize;
-        let mut bytes_v2 = 0usize;
-        let mut link_max = 0usize;
         for &idx in &receiving {
             // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
-            link_max = link_max.max(self.delivered[idx as usize].len());
+            outcome.link_max = outcome.link_max.max(self.delivered[idx as usize].len());
         }
-        self.prof_enter(span::ROUTE_SELECT);
+        self.obs.enter(span::ROUTE_SELECT);
         if self.workers > 1 && receiving.len() > 1 {
             // Parallel path: handles run partitioned across the pool, the
             // merged emissions come back sorted by node index, and the
@@ -955,48 +793,20 @@ impl<N: ProtocolNode> SyncEngine<N> {
             let merged =
                 parallel_handle(&mut self.nodes, &self.delivered, &receiving, self.workers);
             for (idx, emitted) in merged {
-                if let Some(mut update) = emitted {
-                    self.stamp(&mut update);
-                    let update = Arc::new(update);
-                    trace.changed_nodes += 1;
-                    self.prof_enter(span::WIRE_ENCODE);
-                    let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage as u64);
-                    self.prof_exit();
-                    self.prof_enter(span::PRICE_RELAX);
-                    if let Some(ins) = instruments.as_mut() {
-                        ins.on_broadcast(&update, stage as u64, m, e, b);
-                    }
-                    self.prof_exit();
-                    trace.messages += m;
-                    entries += e;
-                    trace.bytes += b;
-                    bytes_v2 += b2;
+                if let Some(update) = emitted {
+                    self.emit(idx, update, &mut outcome);
                 }
             }
         } else {
             for &idx in &receiving {
                 // lint:allow(bounds: per-node engine buffers are sized n at construction and indices stay below n)
                 let emitted = self.nodes[idx as usize].handle(&self.delivered[idx as usize]);
-                if let Some(mut update) = emitted {
-                    self.stamp(&mut update);
-                    let update = Arc::new(update);
-                    trace.changed_nodes += 1;
-                    self.prof_enter(span::WIRE_ENCODE);
-                    let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage as u64);
-                    self.prof_exit();
-                    self.prof_enter(span::PRICE_RELAX);
-                    if let Some(ins) = instruments.as_mut() {
-                        ins.on_broadcast(&update, stage as u64, m, e, b);
-                    }
-                    self.prof_exit();
-                    trace.messages += m;
-                    entries += e;
-                    trace.bytes += b;
-                    bytes_v2 += b2;
+                if let Some(update) = emitted {
+                    self.emit(idx, update, &mut outcome);
                 }
             }
         }
-        self.prof_exit();
+        self.obs.exit();
         // Restore the reusable buffers: only the slots this stage actually
         // used need clearing (everything else is already empty).
         for &idx in &receiving {
@@ -1005,20 +815,34 @@ impl<N: ProtocolNode> SyncEngine<N> {
         }
         receiving.clear();
         self.stage_dirty = receiving;
-        self.drain_pending_events(instruments);
-        if let (Some(ins), Some(start)) = (instruments.as_ref(), wall_start) {
-            let elapsed = ins.telemetry().now_nanos().saturating_sub(start);
-            ins.telemetry()
-                .histogram(metric::STAGE_WALL_NANOS)
-                .observe(elapsed);
+        self.drain_pending_events();
+        if let (Some(t), Some(start)) = (self.obs.telemetry(), wall_start) {
+            let elapsed = t.now_nanos().saturating_sub(start);
+            t.histogram(metric::STAGE_WALL_NANOS).observe(elapsed);
         }
-        self.prof_exit();
-        StageOutcome {
-            trace,
-            entries,
-            bytes_v2,
-            link_max,
-        }
+        self.obs.exit();
+        outcome
+    }
+
+    /// Stamps, broadcasts and observes one update node `idx` emitted in
+    /// the current stage, adding its traffic to `outcome`. Shared by the
+    /// serial and parallel arms of [`run_stage`](Self::run_stage), so both
+    /// emit in exactly the same way.
+    fn emit(&mut self, idx: u32, mut update: Update, outcome: &mut StageOutcome) {
+        let stage = outcome.trace.stage as u64;
+        self.stamp(&mut update);
+        let update = Arc::new(update);
+        outcome.trace.changed_nodes += 1;
+        self.obs.enter(span::WIRE_ENCODE);
+        let (m, e, b, b2) = self.broadcast(AsId::new(idx), &update, stage);
+        self.obs.exit();
+        self.obs.enter(span::OBSERVE);
+        self.obs.on_broadcast(&update, stage, m, e, b);
+        self.obs.exit();
+        outcome.trace.messages += m;
+        outcome.entries += e;
+        outcome.trace.bytes += b;
+        outcome.bytes_v2 += b2;
     }
 
     /// Runs stages until no node has pending input, starting the protocol
@@ -1048,21 +872,16 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// assert!(stages >= 3, "Fig. 1 routing needs d = 3 stages plus drain");
     /// ```
     pub fn step(&mut self) -> Option<StageTrace> {
-        let mut instruments = self.instruments.take();
         if !self.started {
             self.started = true;
-            let _ = self.start_protocol(&mut instruments);
+            self.start_protocol(&mut RunReport::default());
             self.steps_executed = 0;
         }
         if self.dirty.is_empty() {
-            self.instruments = instruments;
             return None;
         }
         self.steps_executed += 1;
-        let stage = self.steps_executed;
-        let outcome = self.run_stage(stage, &mut instruments);
-        self.instruments = instruments;
-        Some(outcome.trace)
+        Some(self.run_stage(self.steps_executed).trace)
     }
 
     /// Like [`run_to_convergence`](Self::run_to_convergence), but invokes
@@ -1077,19 +896,14 @@ impl<N: ProtocolNode> SyncEngine<N> {
             converged: true,
             ..RunReport::default()
         };
-        let mut instruments = self.instruments.take();
         if !self.started {
             self.started = true;
-            let (m, e, b, b2) = self.start_protocol(&mut instruments);
-            report.messages += m;
-            report.entries += e;
-            report.bytes += b;
-            report.bytes_v2 += b2;
+            self.start_protocol(&mut report);
         }
         // Cross-check the stage-0 emissions (origin broadcasts, or the
         // topology-event reactions a caller queued before entering) before
         // stage 1 delivers them.
-        self.audit_stage(0, &mut report, &mut instruments);
+        self.audit_stage(0, &mut report);
 
         // `stages` reports the last stage in which some node's advertised
         // state changed — the moment the tables are final. One further
@@ -1101,18 +915,17 @@ impl<N: ProtocolNode> SyncEngine<N> {
             if executed >= self.stage_limit {
                 report.converged = false;
                 invariants::convergence(&report, executed, self.stage_limit);
-                self.emit_run_observability(&instruments, executed as u64);
-                self.instruments = instruments;
+                self.obs.finish_run(executed as u64);
                 // The health post-mortem, if one fired, is the richer
                 // artifact — don't overwrite it with the generic
                 // stage-limit dump.
-                if !self.health_stall_dumped {
+                if !self.obs.stall_dumped() {
                     self.dump_flight(executed, &report);
                 }
                 return report;
             }
             executed += 1;
-            let outcome = self.run_stage(executed, &mut instruments);
+            let outcome = self.run_stage(executed);
             if outcome.trace.changed_nodes > 0 {
                 report.stages = executed;
             }
@@ -1122,17 +935,22 @@ impl<N: ProtocolNode> SyncEngine<N> {
             report.bytes_v2 += outcome.bytes_v2;
             report.max_link_messages_per_stage =
                 report.max_link_messages_per_stage.max(outcome.link_max);
-            self.audit_stage(executed as u64, &mut report, &mut instruments);
+            self.audit_stage(executed as u64, &mut report);
             // Health bookkeeping: the monitor folded this stage's events as
             // they were recorded (it sits in the trace tee); here the
             // engine polls its stall verdict and arms the flight recorder
             // the moment divergence is detected — long before the hard
             // stage-limit abort would destroy the evidence.
-            self.prof_enter(span::HEALTH_FOLD);
-            if self.health.as_ref().is_some_and(|h| h.stalled()) {
-                self.dump_health_flight(executed as u64, &report);
-            }
-            self.prof_exit();
+            self.obs.poll_health_stall(
+                executed as u64,
+                &[
+                    ("stage_limit", self.stage_limit as u64),
+                    ("messages", report.messages as u64),
+                    ("dirty_nodes", self.dirty.len() as u64),
+                    ("updates_stamped", self.update_seq),
+                    ("nodes", self.nodes.len() as u64),
+                ],
+            );
             if let Some(mut slot) = self.stage_observer.take() {
                 (slot.0)(executed as u64, &self.nodes);
                 self.stage_observer = Some(slot);
@@ -1140,21 +958,15 @@ impl<N: ProtocolNode> SyncEngine<N> {
             observer(outcome.trace);
         }
         invariants::convergence(&report, executed, self.stage_limit);
-        if let Some(ins) = instruments.as_ref() {
-            let telemetry = ins.telemetry();
-            telemetry
-                .gauge(metric::STAGES_TO_QUIESCENCE)
+        if let Some(t) = self.obs.telemetry() {
+            t.gauge(metric::STAGES_TO_QUIESCENCE)
                 .set(report.stages as u64);
-            telemetry.record(&TraceEvent::Quiescent {
+            t.record(&TraceEvent::Quiescent {
                 stage: report.stages as u64,
                 messages: report.messages as u64,
             });
         }
-        self.emit_run_observability(&instruments, report.stages as u64);
-        if let Some(ins) = instruments.as_ref() {
-            ins.telemetry().flush();
-        }
-        self.instruments = instruments;
+        self.obs.finish_run(report.stages as u64);
         report
     }
 
@@ -1325,9 +1137,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
             converged: true,
             ..RunReport::default()
         };
-        let mut instruments = self.instruments.take();
-        self.inject_event(event, &mut report, &mut instruments);
-        self.instruments = instruments;
+        self.inject_event(event, &mut report);
         let reconverge = self.run_to_convergence();
         report.absorb(reconverge);
         Ok(report)
@@ -1340,12 +1150,7 @@ impl<N: ProtocolNode> SyncEngine<N> {
     /// already inside) the convergence loop that absorbs the queued
     /// traffic — the auditor's quarantine path injects events mid-run
     /// through exactly this hook.
-    fn inject_event(
-        &mut self,
-        event: TopologyEvent,
-        report: &mut RunReport,
-        instruments: &mut Option<RunInstruments>,
-    ) {
+    fn inject_event(&mut self, event: TopologyEvent, report: &mut RunReport) {
         if let Some(auditor) = self.auditor.as_mut() {
             auditor.0.on_topology(&event);
         }
@@ -1433,8 +1238,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
                 .collect(),
             _ => event.local_views(),
         };
-        if let (TopologyEvent::NodeUp(k), Some(ins)) = (event, instruments.as_ref()) {
-            ins.telemetry().record(&TraceEvent::NodeRestart {
+        if let TopologyEvent::NodeUp(k) = event {
+            self.obs.record(&TraceEvent::NodeRestart {
                 stage: 0,
                 node: k.index() as u32,
             });
@@ -1443,17 +1248,8 @@ impl<N: ProtocolNode> SyncEngine<N> {
             if let Some(auditor) = self.auditor.as_mut() {
                 auditor.0.on_local_event(id, &local);
             }
-            if let Some(mut update) = self.nodes[id.index()].apply_event(local) {
-                self.stamp(&mut update);
-                let update = Arc::new(update);
-                let (m, e, b, b2) = self.broadcast(id, &update, 0);
-                if let Some(ins) = instruments.as_mut() {
-                    ins.on_broadcast(&update, 0, m, e, b);
-                }
-                report.messages += m;
-                report.entries += e;
-                report.bytes += b;
-                report.bytes_v2 += b2;
+            if let Some(update) = self.nodes[id.index()].apply_event(local) {
+                self.announce(id, update, report);
             }
         }
         // Session establishment: every (re)activated link exchanges full
@@ -1467,16 +1263,14 @@ impl<N: ProtocolNode> SyncEngine<N> {
         for (me, other) in established {
             if let Some(table) = self.nodes[me.index()].full_table() {
                 let (m, e, bytes, bytes_v2) = self.unicast(me, other, table, 0);
-                if let Some(ins) = instruments.as_mut() {
-                    ins.on_unicast(m, e, bytes);
-                }
+                self.obs.on_unicast(m, e, bytes);
                 report.messages += m;
                 report.entries += e;
                 report.bytes += bytes;
                 report.bytes_v2 += bytes_v2;
             }
         }
-        self.drain_pending_events(instruments);
+        self.drain_pending_events();
     }
 
     /// State snapshots of every node (for the E5 experiment), in AS order.
@@ -1490,6 +1284,15 @@ impl<N: ProtocolNode> SyncEngine<N> {
     }
 }
 
+/// Flattens an audited advertisement into the telemetry cost encoding:
+/// the route's path cost when one is advertised, `u64::MAX` for
+/// withdrawals, silence, and price-delta frames (which carry no cost).
+fn advertised_cost_raw(info: Option<&RouteInfo>) -> u64 {
+    info.and_then(RouteInfo::path_cost)
+        .and_then(Cost::finite)
+        .unwrap_or(u64::MAX)
+}
+
 /// Runs `handle` for every receiving node, partitioned across a scoped
 /// worker pool, and returns the emissions sorted by node index so the
 /// caller's broadcast sequence replays the serial order exactly.
@@ -1501,15 +1304,6 @@ impl<N: ProtocolNode> SyncEngine<N> {
 /// their own node, so execution order across workers is immaterial; all
 /// observable ordering (broadcast and telemetry) happens on the caller's
 /// thread afterwards.
-/// Flattens an audited advertisement into the telemetry cost encoding:
-/// the route's path cost when one is advertised, `u64::MAX` for
-/// withdrawals, silence, and price-delta frames (which carry no cost).
-fn advertised_cost_raw(info: Option<&RouteInfo>) -> u64 {
-    info.and_then(RouteInfo::path_cost)
-        .and_then(Cost::finite)
-        .unwrap_or(u64::MAX)
-}
-
 fn parallel_handle<N: ProtocolNode>(
     nodes: &mut [N],
     delivered: &[Vec<Arc<Update>>],

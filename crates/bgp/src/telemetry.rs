@@ -10,8 +10,15 @@
 
 use crate::message::{RouteInfo, Update};
 use bgpvcg_netgraph::Cost;
-use bgpvcg_telemetry::{Counter, Telemetry, TraceEvent, INFINITE};
+use bgpvcg_telemetry::flight::{self, FlightRecorder, StateSnapshot as FlightSnapshot};
+use bgpvcg_telemetry::profile::span;
+use bgpvcg_telemetry::{
+    Clock, Counter, HealthConfig, HealthSink, SpanId, SpanProfiler, SystemClock, Telemetry,
+    TraceEvent, TraceSink, INFINITE,
+};
 use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::Arc;
 
 /// Canonical metric names shared by the engines and every experiment
 /// binary, so `--metrics-out` expositions are comparable across runs.
@@ -181,29 +188,21 @@ impl UpdateTracer {
             }
         }
     }
-
-    /// The telemetry handle this tracer records through.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
 }
 
-/// The synchronous engine's bundled instruments: the tracer plus cached
-/// traffic counter handles, held as `Option` inside the engine and taken
-/// out for the duration of each run loop.
+/// Cached handles for the `bgp_*` traffic counters (see [`metric`]).
 #[derive(Debug)]
-pub(crate) struct RunInstruments {
-    pub(crate) tracer: UpdateTracer,
-    pub(crate) updates_sent: Counter,
-    pub(crate) messages: Counter,
-    pub(crate) entries: Counter,
-    pub(crate) bytes: Counter,
+struct TrafficCounters {
+    updates_sent: Counter,
+    messages: Counter,
+    entries: Counter,
+    bytes: Counter,
 }
 
-impl RunInstruments {
-    pub(crate) fn new(telemetry: &Telemetry) -> Self {
-        RunInstruments {
-            tracer: UpdateTracer::new(telemetry),
+impl TrafficCounters {
+    /// Registers (or looks up) the counters in `telemetry`'s registry.
+    pub fn new(telemetry: &Telemetry) -> Self {
+        TrafficCounters {
             updates_sent: telemetry.counter(metric::UPDATES_SENT),
             messages: telemetry.counter(metric::MESSAGES),
             entries: telemetry.counter(metric::ENTRIES),
@@ -211,9 +210,172 @@ impl RunInstruments {
         }
     }
 
-    /// Accounts one broadcast: the update's events plus its per-link
-    /// traffic.
-    pub(crate) fn on_broadcast(
+    /// Adds `updates` broadcasts and their per-link traffic.
+    pub fn add(&self, updates: u64, messages: u64, entries: u64, bytes: u64) {
+        self.updates_sent.add(updates);
+        self.messages.add(messages);
+        self.entries.add(entries);
+        self.bytes.add(bytes);
+    }
+}
+
+/// Everything an engine uses to watch a run: the caller's telemetry, the
+/// flight recorder and health monitor teed into it, the update tracer with
+/// its traffic counters, and the span profiler with its clock. Every part
+/// starts detached (`Default` allocates nothing), and detached parts cost
+/// nothing.
+///
+/// The recording handle is rebuilt from the parts on every attach —
+/// telemetry, then the flight recorder's sink, then the health sink — so
+/// the order in which callers attach them does not matter. Without
+/// telemetry, the recorder and monitor still see every event through a
+/// private handle.
+#[derive(Debug, Default)]
+pub(crate) struct Observers {
+    /// The caller's handle, as given to `attach_telemetry`.
+    base: Option<Telemetry>,
+    /// `base` teed with the flight and health sinks: the handle every event
+    /// is recorded through. `None` when nothing is attached.
+    telemetry: Option<Telemetry>,
+    tracer: Option<UpdateTracer>,
+    /// Whether broadcasts feed the `bgp_*` traffic counters. The chaos
+    /// engine's traffic is frames, accounted in its own report, so it
+    /// leaves the counters unregistered.
+    counts_traffic: bool,
+    traffic: Option<TrafficCounters>,
+    flight: Option<FlightRecorder>,
+    health: Option<Arc<HealthSink>>,
+    /// Whether the one-shot health-stall post-mortem has been written.
+    stall_dumped: bool,
+    profiler: Option<SpanProfiler>,
+    clock: Option<Arc<dyn Clock>>,
+}
+
+// The methods here and on `TrafficCounters` are `pub` on a crate-private
+// type: `cargo xtask analyze` does not parse `pub(crate) fn` items, and
+// these run on the engines' hot paths, so they must stay in its call graph.
+impl Observers {
+    /// A detached bundle whose broadcasts also feed the `bgp_*` traffic
+    /// counters once telemetry is attached.
+    pub fn counting_traffic() -> Self {
+        Observers {
+            counts_traffic: true,
+            ..Observers::default()
+        }
+    }
+
+    /// Attaches the caller's telemetry handle (metrics registry, trace
+    /// sink and clock).
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.base = Some(telemetry.clone());
+        self.rebuild();
+    }
+
+    /// Attaches a divergence flight recorder retaining the last `capacity`
+    /// events, dumped to `path`.
+    pub fn attach_flight_recorder(&mut self, path: &Path, capacity: usize) {
+        self.flight = Some(FlightRecorder::new(path.to_path_buf(), capacity));
+        self.rebuild();
+    }
+
+    /// Attaches the streaming health monitor.
+    pub fn attach_health(&mut self, config: HealthConfig) {
+        self.health = Some(Arc::new(HealthSink::new(config)));
+        self.rebuild();
+    }
+
+    /// Attaches a fresh span profiler over the engine spans.
+    pub fn attach_profiler(&mut self) {
+        self.profiler = Some(SpanProfiler::engine());
+        self.sync_clock();
+    }
+
+    /// Re-tees the recording handle from the attached parts and restarts
+    /// the tracer on it.
+    fn rebuild(&mut self) {
+        let mut sinks = self.flight.iter().map(FlightRecorder::sink).chain(
+            self.health
+                .iter()
+                .map(|h| Arc::clone(h) as Arc<dyn TraceSink>),
+        );
+        let root = match &self.base {
+            Some(base) => Some(base.clone()),
+            None => sinks.next().map(Telemetry::new),
+        };
+        self.telemetry = root.map(|root| sinks.fold(root, |t, sink| t.tee(sink)));
+        self.tracer = self.telemetry.as_ref().map(UpdateTracer::new);
+        self.traffic = (self.telemetry.as_ref())
+            .filter(|_| self.counts_traffic)
+            .map(TrafficCounters::new);
+        self.sync_clock();
+    }
+
+    /// Points the profiler at the recording handle's clock (so tests can
+    /// script it), or a fresh [`SystemClock`] when nothing records.
+    fn sync_clock(&mut self) {
+        self.clock = self.profiler.as_ref().map(|_| match &self.telemetry {
+            Some(t) => t.clock_handle(),
+            None => Arc::new(SystemClock::new()) as Arc<dyn Clock>,
+        });
+    }
+
+    /// The attached flight recorder, if any.
+    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
+        self.flight.as_ref()
+    }
+
+    /// The attached health monitor, if any.
+    pub fn health_sink(&self) -> Option<&Arc<HealthSink>> {
+        self.health.as_ref()
+    }
+
+    /// The attached span profiler's current totals, if any.
+    pub fn profiler(&self) -> Option<&SpanProfiler> {
+        self.profiler.as_ref()
+    }
+
+    /// Detaches and returns the span profiler.
+    pub fn take_profiler(&mut self) -> Option<SpanProfiler> {
+        self.clock = None;
+        self.profiler.take()
+    }
+
+    /// The recording handle, if anything is attached.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_ref()
+    }
+
+    /// Opens span `id` on the attached profiler (no-op when detached).
+    pub fn enter(&mut self, id: SpanId) {
+        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.clock.as_ref()) {
+            profiler.enter(id, clock.now_nanos());
+        }
+    }
+
+    /// Closes the innermost open span (no-op when detached).
+    pub fn exit(&mut self) {
+        if let (Some(profiler), Some(clock)) = (self.profiler.as_mut(), self.clock.as_ref()) {
+            profiler.exit(clock.now_nanos());
+        }
+    }
+
+    /// Records one trace event.
+    pub fn record(&self, event: &TraceEvent) {
+        if let Some(t) = &self.telemetry {
+            t.record(event);
+        }
+    }
+
+    /// Narrates one broadcast's route and price events, without counting
+    /// its traffic.
+    pub fn trace(&mut self, update: &Update, stage: u64) {
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.observe_update(update, stage);
+        }
+    }
+
+    /// Accounts one broadcast: its per-link traffic plus its events.
+    pub fn on_broadcast(
         &mut self,
         update: &Update,
         stage: u64,
@@ -221,24 +383,99 @@ impl RunInstruments {
         entries: usize,
         bytes: usize,
     ) {
-        self.updates_sent.inc();
-        self.messages.add(messages as u64);
-        self.entries.add(entries as u64);
-        self.bytes.add(bytes as u64);
-        self.tracer.observe_update(update, stage);
+        if let Some(traffic) = &self.traffic {
+            traffic.add(1, messages as u64, entries as u64, bytes as u64);
+        }
+        self.trace(update, stage);
     }
 
     /// Accounts a session-establishment unicast (full table): traffic only,
     /// no events — a full table re-states unchanged routes, which the
     /// tracer's change semantics must not misreport as reselections.
-    pub(crate) fn on_unicast(&mut self, messages: usize, entries: usize, bytes: usize) {
-        self.messages.add(messages as u64);
-        self.entries.add(entries as u64);
-        self.bytes.add(bytes as u64);
+    pub fn on_unicast(&mut self, messages: usize, entries: usize, bytes: usize) {
+        if let Some(traffic) = &self.traffic {
+            traffic.add(0, messages as u64, entries as u64, bytes as u64);
+        }
     }
 
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        self.tracer.telemetry()
+    /// Writes a flight post-mortem to the attached recorder, if any, with
+    /// at most 64 of `snapshots` so the artifact stays bounded on huge
+    /// topologies (the summary still carries the totals). Best-effort: the
+    /// recorder is advisory and must not take a failing run further down,
+    /// so I/O errors are swallowed.
+    pub fn dump_flight(
+        &self,
+        reason: &str,
+        stage: u64,
+        summary: &[(&str, u64)],
+        snapshots: impl Iterator<Item = FlightSnapshot>,
+    ) {
+        if let Some(recorder) = &self.flight {
+            let snapshots: Vec<FlightSnapshot> = snapshots.take(64).collect();
+            let _ = recorder.dump(reason, stage, summary, &snapshots);
+        }
+    }
+
+    /// Polls the health monitor's stall verdict between stages (inside the
+    /// health-fold span) and, at the first stall, writes the one-shot
+    /// [`flight::REASON_HEALTH_STALL`] post-mortem: the finding count and
+    /// the caller's run `counters` as summary, the fired findings as
+    /// snapshots.
+    pub fn poll_health_stall(&mut self, stage: u64, counters: &[(&str, u64)]) {
+        self.enter(span::HEALTH_FOLD);
+        if let Some(health) = self
+            .health
+            .as_ref()
+            .filter(|h| !self.stall_dumped && h.stalled())
+        {
+            let findings = health.findings();
+            let mut summary = vec![("findings", findings.len() as u64)];
+            summary.extend_from_slice(counters);
+            self.dump_flight(
+                flight::REASON_HEALTH_STALL,
+                stage,
+                &summary,
+                findings.iter().map(|f| FlightSnapshot {
+                    node: f.node,
+                    fields: vec![
+                        ("detector", u64::from(f.detector)),
+                        ("stage", f.stage),
+                        ("dest", u64::from(f.dest)),
+                        ("count", f.count),
+                        ("threshold", f.threshold),
+                    ],
+                }),
+            );
+            self.stall_dumped = true;
+        }
+        self.exit();
+    }
+
+    /// Whether the health-stall post-mortem has been written; engines then
+    /// skip their generic budget-exhaustion dump, the stall dump being the
+    /// richer artifact.
+    pub fn stall_dumped(&self) -> bool {
+        self.stall_dumped
+    }
+
+    /// Ends a run: records freshly fired health findings as `HealthVerdict`
+    /// events and the profiler's cumulative per-span totals as
+    /// `SpanSummary` events, stamped with `stage`, then flushes.
+    pub fn finish_run(&self, stage: u64) {
+        let Some(telemetry) = &self.telemetry else {
+            return;
+        };
+        if let Some(health) = &self.health {
+            for finding in health.drain_new_findings() {
+                telemetry.record(&finding.to_event());
+            }
+        }
+        if let Some(profiler) = &self.profiler {
+            for event in profiler.summary_events(stage) {
+                telemetry.record(&event);
+            }
+        }
+        telemetry.flush();
     }
 }
 

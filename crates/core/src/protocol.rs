@@ -16,7 +16,7 @@ use bgpvcg_bgp::engine::{
 };
 use bgpvcg_bgp::{ProtocolNode, StateSnapshot};
 use bgpvcg_netgraph::{AsGraph, GraphError};
-use bgpvcg_telemetry::{HealthConfig, HealthMonitor, SpanProfiler, Telemetry};
+use bgpvcg_telemetry::Telemetry;
 
 /// Everything a synchronous pricing run produces.
 #[derive(Debug, Clone)]
@@ -93,21 +93,6 @@ pub fn build_audited_sync_engine(
     let mut engine = build_sync_engine(graph)?;
     engine.attach_auditor(Box::new(crate::audit::OnlineAuditor::new(graph)));
     Ok(engine)
-}
-
-/// Like [`build_audited_sync_engine`], with a deterministic worker pool —
-/// the auditor observes the engine's canonical broadcast order, which is
-/// identical for any worker count.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn build_audited_sync_engine_parallel(
-    graph: &AsGraph,
-    workers: usize,
-) -> Result<SyncEngine<PricingBgpNode>, GraphError> {
-    Ok(build_audited_sync_engine(graph)?.with_parallelism(workers))
 }
 
 /// Like [`build_sync_engine`], but with a deterministic worker pool of
@@ -187,90 +172,6 @@ pub fn run_sync_telemetry(
         report,
         snapshots,
     })
-}
-
-/// A [`PricingRun`] plus the health and profiling artifacts of a fully
-/// observed run (see [`run_sync_observed`]).
-#[derive(Debug)]
-pub struct ObservedRun {
-    /// The run itself.
-    pub run: PricingRun,
-    /// Final health-monitor state: findings, latency sketches, stage
-    /// count.
-    pub health: HealthMonitor,
-    /// The span profiler's totals over the run.
-    pub profile: SpanProfiler,
-}
-
-/// Like [`run_sync_telemetry`], but with the full observability stack
-/// attached: the streaming [`HealthMonitor`] folds the trace as it is
-/// emitted (verdicts traced as `HealthVerdict` events) and the span
-/// profiler times the engine phases (totals traced as `SpanSummary`
-/// events). Returns both artifacts alongside the run.
-///
-/// # Errors
-///
-/// Returns the graph-validation error if the mechanism's preconditions
-/// fail.
-pub fn run_sync_observed(
-    graph: &AsGraph,
-    telemetry: &Telemetry,
-    health: HealthConfig,
-) -> Result<ObservedRun, MechanismError> {
-    let mut engine = build_sync_engine(graph)?;
-    engine.attach_telemetry(telemetry);
-    engine.attach_health(health);
-    engine.attach_profiler();
-    let report = engine.run_to_convergence();
-    let snapshots = engine.state_snapshots();
-    let health = engine
-        .health_sink()
-        // lint:allow(infallible: attach_health ran unconditionally four lines up)
-        .expect("health attached above")
-        .snapshot();
-    // lint:allow(infallible: attach_profiler ran unconditionally above)
-    let profile = engine.take_profiler().expect("profiler attached above");
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    record_extraction(&outcome, telemetry);
-    Ok(ObservedRun {
-        run: PricingRun {
-            outcome,
-            report,
-            snapshots,
-        },
-        health,
-        profile,
-    })
-}
-
-/// The chaos twin of [`run_sync_observed`]: session-layer recovery under
-/// the fault plan with the health monitor and span profiler attached.
-///
-/// # Errors
-///
-/// As for [`run_chaos`].
-pub fn run_chaos_observed(
-    graph: &AsGraph,
-    plan: FaultPlan,
-    max_stages: u64,
-    telemetry: &Telemetry,
-    health: HealthConfig,
-) -> Result<(RoutingOutcome, ChaosReport, HealthMonitor, SpanProfiler), MechanismError> {
-    let mut engine = build_chaos_engine(graph, plan)?;
-    engine.attach_telemetry(telemetry);
-    engine.attach_health(health);
-    engine.attach_profiler();
-    let report = engine.run_to_stable(max_stages);
-    let health = engine
-        .health_sink()
-        // lint:allow(infallible: attach_health ran unconditionally four lines up)
-        .expect("health attached above")
-        .snapshot();
-    // lint:allow(infallible: attach_profiler ran unconditionally above)
-    let profile = engine.take_profiler().expect("profiler attached above");
-    let outcome = outcome_from_nodes(&engine.into_nodes())?;
-    record_extraction(&outcome, telemetry);
-    Ok((outcome, report, health, profile))
 }
 
 /// Like [`run_async`], but observed through `telemetry` (broadcast-keyed
@@ -598,7 +499,7 @@ mod tests {
         let reference = vcg::compute(&g).unwrap();
         for seed in 0..2 {
             let (nodes, _) =
-                run_event_driven_chaotic(&g, crate::PricingBgpNode::from_graph(&g), 0.35, seed);
+                run_event_driven_chaotic(&g, crate::PricingBgpNode::from_graph(&g), seed);
             assert_eq!(
                 outcome_from_nodes(&nodes).unwrap(),
                 reference,

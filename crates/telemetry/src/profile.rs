@@ -42,8 +42,11 @@ pub mod span {
     pub const STAGE: super::SpanId = 0;
     /// Route selection: delivering updates into nodes' route selectors.
     pub const ROUTE_SELECT: super::SpanId = 1;
-    /// Price relaxation bookkeeping (shadow diffing advertised prices).
-    pub const PRICE_RELAX: super::SpanId = 2;
+    /// Observing a broadcast: the update tracer's shadow diff into route
+    /// and price trace events, plus the traffic counters. Times the cost
+    /// of observation itself, not price relaxation (which runs inside
+    /// route-select, in the nodes).
+    pub const OBSERVE: super::SpanId = 2;
     /// Wire-format v2 encode on the update fan-out path.
     pub const WIRE_ENCODE: super::SpanId = 3;
     /// Session upkeep: retransmit timers, acks, hold timers (chaos engine).
@@ -59,7 +62,7 @@ pub mod span {
     pub const NAMES: [&str; 8] = [
         "stage",
         "route-select",
-        "price-relax",
+        "observe",
         "wire-encode",
         "session-retransmit",
         "audit-shadow",

@@ -21,7 +21,8 @@
 //!    explicit `cause`/`effect` provenance ids.
 //! 6. **stage-alloc** — no `Vec::new()` / `HashMap::new()` / `vec![`
 //!    allocation inside the stage-loop bodies of the synchronous engine
-//!    (`run_stage`, `parallel_handle`), whose buffers are reused by design.
+//!    (`run_stage`, `emit`, `parallel_handle`), whose buffers are reused by
+//!    design, and in the other hot paths listed in [`STAGE_ALLOC_SCOPES`].
 //! 7. **unsafe-audit** — every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`, no first-party line uses `unsafe`, and
 //!    vendored stand-ins are unsafe-free unless enumerated (with a reason)
@@ -498,7 +499,8 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 
 /// The (file, hot-path functions) scopes whose bodies must not allocate,
 /// matched by bare name against the parsed item tree: the synchronous
-/// engine's per-stage loop, the wire codec's zero-allocation encode
+/// engine's per-stage loop and the observer bundle's per-broadcast hooks,
+/// the wire codec's zero-allocation encode
 /// path (every broadcast runs it; the `*_v2` entry points write into a
 /// caller-owned scratch buffer, and the size models are pure arithmetic),
 /// the span profiler's enter/exit brackets (they wrap every hot-path
@@ -508,7 +510,11 @@ fn trace_event_mentions(line: &str) -> Vec<String> {
 pub const STAGE_ALLOC_SCOPES: &[(&str, &[&str])] = &[
     (
         "crates/bgp/src/engine/sync.rs",
-        &["run_stage", "parallel_handle"],
+        &["run_stage", "emit", "parallel_handle"],
+    ),
+    (
+        "crates/bgp/src/telemetry.rs",
+        &["enter", "exit", "on_broadcast", "on_unicast"],
     ),
     ("crates/telemetry/src/profile.rs", &["enter", "exit"]),
     (

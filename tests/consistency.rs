@@ -72,8 +72,7 @@ fn all_implementation_paths_agree() {
             reference,
             "seed {seed}: async protocol"
         );
-        let (chaos_nodes, _) =
-            run_event_driven_chaotic(&g, PricingBgpNode::from_graph(&g), 0.3, seed);
+        let (chaos_nodes, _) = run_event_driven_chaotic(&g, PricingBgpNode::from_graph(&g), seed);
         assert_eq!(
             protocol::outcome_from_nodes(&chaos_nodes).unwrap(),
             reference,

@@ -141,7 +141,7 @@ fn chaotic_async_soak() {
     let reference = vcg::compute(&g).unwrap();
     for seed in 0..4 {
         let (nodes, _) =
-            run_event_driven_chaotic(&g, bgp_vcg::PricingBgpNode::from_graph(&g), 0.5, seed);
+            run_event_driven_chaotic(&g, bgp_vcg::PricingBgpNode::from_graph(&g), seed);
         assert_eq!(
             protocol::outcome_from_nodes(&nodes).unwrap(),
             reference,
